@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .frame import Chirality, ScalarField, _as_array
+from .polynomial import evaluate
 from .tensor import gamma_round, hat, structure_constant, wedge_endo
 
 __all__ = [
@@ -37,6 +38,18 @@ __all__ = [
 
 # the three independent frame pairs; bilinearity makes them sufficient
 FRAME_PAIRS = ((1, 2), (1, 3), (2, 3))
+
+# the six independent entries of a symmetric 3x3 matrix
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
+def _field_values(fields, pts) -> list:
+    """Values of ScalarFields at pts.  Exact fields share one power table;
+    a finite-difference field among them sends every field through its
+    own evaluation."""
+    if all(f.poly is not None for f in fields):
+        return evaluate([f.poly for f in fields], pts)
+    return [f(pts) for f in fields]
 
 
 def _coerce_entry(value) -> ScalarField:
@@ -81,26 +94,39 @@ class SymEnd3Field:
         return cls.from_constant_matrix(scale * np.eye(3), chirality)
 
     # -- evaluation -----------------------------------------------------
+    def _upper_fields(self, k: int = 0) -> list:
+        """The six independent entries, or their e_k-derivatives for k > 0."""
+        fields = [self.entries[i][j] for i, j in _UPPER]
+        if k:
+            fields = [f.frame_derivative(k, self.chirality) for f in fields]
+        return fields
+
+    @staticmethod
+    def _symmetric(vals, shape) -> np.ndarray:
+        out = np.zeros(shape + (3, 3))
+        for (i, j), val in zip(_UPPER, vals):
+            out[..., i, j] = val
+            out[..., j, i] = val
+        return out
+
     def matrix(self, points) -> np.ndarray:
         pts = _as_array(points)
-        out = np.zeros(pts.shape[:-1] + (3, 3))
-        for i in range(3):
-            for j in range(i, 3):
-                val = self.entries[i][j](pts)
-                out[..., i, j] = val
-                out[..., j, i] = val
-        return out
+        return self._symmetric(_field_values(self._upper_fields(), pts), pts.shape[:-1])
 
     def frame_derivative_matrix(self, k: int, points) -> np.ndarray:
         """Entrywise e_k-derivative (same chirality as the frame)."""
         pts = _as_array(points)
-        out = np.zeros(pts.shape[:-1] + (3, 3))
-        for i in range(3):
-            for j in range(i, 3):
-                val = self.entries[i][j].frame_derivative(k, self.chirality)(pts)
-                out[..., i, j] = val
-                out[..., j, i] = val
-        return out
+        return self._symmetric(_field_values(self._upper_fields(k), pts), pts.shape[:-1])
+
+    def jet(self, points) -> tuple:
+        """(M, (dM_1, dM_2, dM_3)): the matrix and its three entrywise
+        frame derivatives.  For an exact field all 24 entry and
+        derivative polynomials share one power table.  Equal, bit for
+        bit, to `matrix` and `frame_derivative_matrix`."""
+        pts = _as_array(points)
+        vals = _field_values([f for k in range(4) for f in self._upper_fields(k)], pts)
+        M, d1, d2, d3 = (self._symmetric(vals[6 * k : 6 * k + 6], pts.shape[:-1]) for k in range(4))
+        return M, (d1, d2, d3)
 
     def trace(self, points) -> np.ndarray:
         pts = _as_array(points)
@@ -142,13 +168,12 @@ class VectorField3:
 
     def values(self, points) -> np.ndarray:
         pts = _as_array(points)
-        return np.stack([c(pts) for c in self.components], axis=-1)
+        return np.stack(_field_values(self.components, pts), axis=-1)
 
     def frame_derivative_values(self, k: int, points) -> np.ndarray:
         pts = _as_array(points)
-        return np.stack(
-            [c.frame_derivative(k, self.chirality)(pts) for c in self.components], axis=-1
-        )
+        derivs = [c.frame_derivative(k, self.chirality) for c in self.components]
+        return np.stack(_field_values(derivs, pts), axis=-1)
 
 
 # -- known solution families -------------------------------------------
@@ -227,13 +252,17 @@ def known_example(kind: str, rotation=None) -> SymEnd3Field:
 # -- connection and residuals -------------------------------------------
 
 
-def _cov_matrix(A: SymEnd3Field, k: int, points, M=None) -> np.ndarray:
-    """nabla_{e_k} A as a frame matrix: dA_k + [Gamma_k, A]."""
-    if M is None:
-        M = A.matrix(points)
-    dM = A.frame_derivative_matrix(k, points)
-    G = gamma_round(k, A.chirality)
-    return dM + G @ M - M @ G
+def _cov_matrix(M, dM, k: int, chirality: Chirality) -> np.ndarray:
+    """nabla_{e_k} A as a frame matrix: dA_k + [Gamma_k, A], from the jet."""
+    G = gamma_round(k, chirality)
+    return dM[k - 1] + G @ M - M @ G
+
+
+def _frame_directions(x, y, pair):
+    if pair is not None:
+        x = np.eye(3)[pair[0] - 1]
+        y = np.eye(3)[pair[1] - 1]
+    return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
 
 
 def modified_connection(A: SymEnd3Field, points, a: int, b: int) -> np.ndarray:
@@ -255,21 +284,18 @@ def flatness_residual(A: SymEnd3Field, points, x=None, y=None, pair=None) -> np.
     frame pairs).  Zero for all pairs exactly when A solves the central
     equation at the sampled points.
     """
-    if pair is not None:
-        x = np.eye(3)[pair[0] - 1]
-        y = np.eye(3)[pair[1] - 1]
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    pts = _as_array(points)
-    M = A.matrix(pts)
+    M, dM = A.jet(points)
+    return _flatness_from_jet(M, dM, A.chirality, *_frame_directions(x, y, pair))
 
+
+def _flatness_from_jet(M, dM, chirality, x, y) -> np.ndarray:
     curv = -wedge_endo(x, y)  # R(X,Y) dual vector
     covx = np.zeros_like(M)
     covy = np.zeros_like(M)
     for k in range(3):
         if x[k] == 0.0 and y[k] == 0.0:
             continue
-        ck = _cov_matrix(A, k + 1, pts, M)
+        ck = _cov_matrix(M, dM, k + 1, chirality)
         if x[k] != 0.0:
             covx = covx + x[k] * ck
         if y[k] != 0.0:
@@ -288,27 +314,28 @@ def residual_norm(dual) -> np.ndarray:
 
 def flatness_residual_norms(A: SymEnd3Field, points) -> np.ndarray:
     """Frobenius residual norms over the three frame pairs: shape (...,3)."""
-    vals = [residual_norm(flatness_residual(A, points, pair=p)) for p in FRAME_PAIRS]
+    M, dM = A.jet(points)
+    vals = [
+        residual_norm(_flatness_from_jet(M, dM, A.chirality, *_frame_directions(None, None, p)))
+        for p in FRAME_PAIRS
+    ]
     return np.stack(vals, axis=-1)
 
 
 def gauss_codazzi_residual(A: SymEnd3Field, points):
     """(6 - tr(A)^2 + tr(A^2),  delta^nabla A + d tr A) on the round sphere."""
-    pts = _as_array(points)
-    M = A.matrix(pts)
+    M, dM = A.jet(points)
     tr = np.trace(M, axis1=-2, axis2=-1)
     tr2 = np.einsum("...ij,...ji->...", M, M)
     scalar = 6.0 - tr**2 + tr2
 
     vec = np.zeros(M.shape[:-2] + (3,))
     for k in range(3):
-        ck = _cov_matrix(A, k + 1, pts, M)
+        ck = _cov_matrix(M, dM, k + 1, A.chirality)
         vec = vec - ck[..., :, k]  # delta^nabla A
     for k in range(3):
         # d tr A = sum_k e_k(tr A) e_k
-        dtr = sum(
-            A.entries[i][i].frame_derivative(k + 1, A.chirality)(pts) for i in range(3)
-        )
+        dtr = sum(dM[k][..., i, i] for i in range(3))
         vec[..., k] += dtr
     return scalar, vec
 
@@ -328,19 +355,15 @@ def linearized_residual(A: SymEnd3Field, Adot: SymEnd3Field, points, x=None, y=N
     """
     if A.chirality is not Adot.chirality:
         raise ValueError("A and Adot must share a frame chirality")
-    if pair is not None:
-        x = np.eye(3)[pair[0] - 1]
-        y = np.eye(3)[pair[1] - 1]
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _frame_directions(x, y, pair)
     pts = _as_array(points)
     M = A.matrix(pts)
-    N = Adot.matrix(pts)
+    N, dNs = Adot.jet(pts)
     lam = structure_constant(A.chirality)
 
     def deriv_of_image(k, vec):
         # nabla^A_{e_k} of the coefficient field q -> Adot(q) vec
-        dN = Adot.frame_derivative_matrix(k, pts)
+        dN = dNs[k - 1]
         ek = np.zeros(3)
         ek[k - 1] = 1.0
         GA = gamma_round(k, A.chirality) + hat(np.einsum("...ij,j->...i", M, ek))
@@ -405,14 +428,14 @@ def xi_operator(A: SymEnd3Field, X: VectorField3, points):
     pts = _as_array(points)
     first = symmetry_residual(A, X, pts, B=None)
 
-    M = A.matrix(pts)
+    M, dAs = A.jet(pts)
     vals = X.values(pts)
     tr = np.trace(M, axis1=-2, axis2=-1)
     div = np.zeros(pts.shape[:-1])
     for k in range(3):
         # W_k = x_k tr A - (A x)_k; e_k W_k by the product rule
         dx = X.frame_derivative_values(k + 1, pts)
-        dA = A.frame_derivative_matrix(k + 1, pts)
+        dA = dAs[k]
         dtr = np.trace(dA, axis1=-2, axis2=-1)
         div = div + (
             dx[..., k] * tr

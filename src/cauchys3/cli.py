@@ -18,6 +18,7 @@ requested.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -59,8 +60,9 @@ class RunConfig:
     def validate(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.tolerance <= 0 or self.fd_step <= 0:
-            raise ValueError("tolerance and fd-step must be positive")
+        for name, value in (("tolerance", self.tolerance), ("fd-step", self.fd_step)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a positive finite number, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +286,8 @@ def cmd_cylinder(args, config: RunConfig) -> int:
         if args.probe_curvature:
             if args.s is None:
                 raise ValueError("--probe-curvature requires --s LO..HI")
+            if args.probe_points < 2:
+                raise ValueError("--probe-points must be at least 2")
             lo, hi = _parse_range(args.s)
             svals = np.linspace(hi, lo, args.probe_points)  # decreasing toward 1/2
             probe = cyl.curvature_blowup_probe(svals)

@@ -131,10 +131,9 @@ def lie_derivative_endo(A: SymEnd3Field, Z: VectorField3, points) -> np.ndarray:
         raise ValueError("chirality mismatch")
     pts = _as_array(points)
     lam = 2.0 if A.chirality is Chirality.LEFT else -2.0
-    M = A.matrix(pts)
+    M, dA = A.jet(pts)
     z = Z.values(pts)
     dz = [Z.frame_derivative_values(k, pts) for k in (1, 2, 3)]
-    dA = [A.frame_derivative_matrix(k, pts) for k in (1, 2, 3)]
 
     # [Z, W] for coefficient fields: sum_k (z_k e_k(w_j) - w_k e_k(z_j)) e_j
     #                                + lam * cross(z, w)

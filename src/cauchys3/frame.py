@@ -33,7 +33,6 @@ __all__ = [
     "harmonic_quadratic",
     "random_points",
     "coordinate_field",
-    "frame_coefficient_matrix",
     "UNIT_TOL",
 ]
 
@@ -217,12 +216,6 @@ def _mul_matrix(k: int, chirality: Chirality) -> np.ndarray:
 FRAME_MATRICES = {
     (c, k): _mul_matrix(k, c) for c in Chirality for k in (1, 2, 3)
 }
-
-
-def frame_coefficient_matrix(q, chirality: Chirality = Chirality.LEFT) -> np.ndarray:
-    """Rows e_1(q), e_2(q), e_3(q) as ambient vectors: shape (...,3,4)."""
-    qa = _as_array(q)
-    return np.stack([invariant_vector(qa, k, chirality) for k in (1, 2, 3)], axis=-2)
 
 
 class ScalarField:

@@ -4,13 +4,118 @@ These back the exact derivative mode: every scalar quantity that has an
 ambient polynomial representative is stored as a :class:`Poly`, and
 directional derivatives along linear vector fields map polynomials to
 polynomials, so iterated frame derivatives stay exact.
+
+All evaluation runs on one kernel.  A point batch becomes a single
+power table ``x_v ** k`` (every variable v, every k up to the largest
+exponent in use), computed once with ``np.power``.  Each monomial is
+gathered from that table and multiplied out over the variables in
+variable order; a polynomial is the contiguous array of its monomials
+times its coefficient vector.  :func:`evaluate` runs any number of
+polynomials against one table and forms each distinct monomial once;
+``Poly.__call__`` runs the same kernel for a single polynomial.  The
+values are bit-identical to evaluating ``prod(x ** exps) @ coefs`` one
+polynomial at a time, while ``pow`` is called once per (point,
+variable, power) instead of once per (point, term, variable).
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
-__all__ = ["Poly"]
+__all__ = ["Poly", "power_table", "evaluate"]
+
+# exponent columns 0..width-1, shaped to broadcast against (..., 1, nvars)
+_COLUMNS: dict[int, np.ndarray] = {}
+
+# (table index, width) by (nvars, exponent sequence).  Polynomials
+# rebuilt per point (gradients, constants) repeat a few exponent
+# sequences, so compiling them costs about as much as reading their
+# coefficients.
+_INDEX: dict[tuple, tuple] = {}
+_INDEX_CAP = 4096
+
+
+def _exponent_column(width: int) -> np.ndarray:
+    col = _COLUMNS.get(width)
+    if col is None:
+        col = _COLUMNS[width] = np.arange(width, dtype=float)[:, None]
+    return col
+
+
+def _table_index(exponents: tuple, nvars: int) -> tuple:
+    """(index, width) for a sequence of exponent tuples.
+
+    Row v of the index holds the table positions e_v * nvars + v of the
+    monomials' factors in variable v: shape (nvars, monomials).
+    """
+    key = (nvars, exponents)
+    hit = _INDEX.get(key)
+    if hit is None:
+        if len(_INDEX) >= _INDEX_CAP:
+            _INDEX.clear()
+        exps = np.fromiter(chain.from_iterable(exponents), np.intp, len(exponents) * nvars)
+        index = (exps.reshape(len(exponents), nvars) * nvars + np.arange(nvars)).T
+        index.flags.writeable = False
+        hit = _INDEX[key] = (index, max(map(max, exponents), default=0) + 1)
+    return hit
+
+
+def power_table(points, width: int) -> np.ndarray:
+    """Powers x_v ** k for 0 <= k < width, flattened over (k, v).
+
+    points has shape (..., nvars); the result has shape
+    (..., width * nvars) with x_v ** k at index k * nvars + v, so a
+    monomial's table positions do not depend on the width.
+    """
+    pts = np.asarray(points, dtype=float)
+    table = np.power(pts[..., None, :], _exponent_column(width))
+    return table.reshape(pts.shape[:-1] + (width * pts.shape[-1],))
+
+
+def _monomials(table, index) -> np.ndarray:
+    """Every monomial of the index at every point: (..., monomials).
+
+    Each is the product of its factors over the variables, in variable
+    order, exactly as np.prod multiplies them.
+    """
+    return np.multiply.reduce(table.take(index, axis=-1), axis=-2)
+
+
+def _combine(mono, coefs) -> np.ndarray:
+    """sum_t coefs[t] * mono[..., t].  The monomial array reaches the
+    matrix-vector product contiguous, as np.prod leaves it, so BLAS adds
+    the terms in the same order."""
+    return np.ascontiguousarray(mono) @ coefs
+
+
+def evaluate(polys, points) -> list:
+    """Evaluate every polynomial in `polys` at points (..., nvars).
+
+    One power table serves them all, and a monomial that several of them
+    share is formed once.  Returns one array of shape (...) per
+    polynomial, bit-identical to calling each polynomial on its own.
+    """
+    polys = list(polys)
+    if not polys:
+        return []
+    pts = np.asarray(points, dtype=float)
+    columns: dict[tuple, int] = {}
+    for p in polys:
+        p._check_points(pts)
+        for e in p.terms:
+            columns.setdefault(e, len(columns))
+    index, width = _table_index(tuple(columns), polys[0].nvars)
+    mono = _monomials(power_table(pts, width), index)
+    out = []
+    for p in polys:
+        if not p.terms:
+            out.append(np.zeros(pts.shape[:-1]))
+            continue
+        cols = np.fromiter(map(columns.__getitem__, p.terms), np.intp, len(p.terms))
+        out.append(_combine(mono.take(cols, axis=-1), p._compile()[1]))
+    return out
 
 
 class Poly:
@@ -21,7 +126,7 @@ class Poly:
     return new polynomials.
     """
 
-    __slots__ = ("nvars", "terms", "_exps", "_coefs")
+    __slots__ = ("nvars", "terms", "_index", "_coefs", "_width")
 
     def __init__(self, nvars: int, terms: dict | None = None):
         self.nvars = int(nvars)
@@ -35,8 +140,9 @@ class Poly:
                 if c != 0.0:
                     clean[e] = clean.get(e, 0.0) + c
         self.terms = {e: c for e, c in clean.items() if c != 0.0}
-        self._exps = None
+        self._index = None
         self._coefs = None
+        self._width = None
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -143,25 +249,24 @@ class Poly:
 
     # -- evaluation ---------------------------------------------------
     def _compile(self):
-        if self._exps is None:
-            if self.terms:
-                self._exps = np.array(list(self.terms.keys()), dtype=np.int64)
-                self._coefs = np.array(list(self.terms.values()), dtype=float)
-            else:
-                self._exps = np.zeros((0, self.nvars), dtype=np.int64)
-                self._coefs = np.zeros(0)
-        return self._exps, self._coefs
+        """(table index, coefficients, table width), built once."""
+        if self._coefs is None:
+            self._index, self._width = _table_index(tuple(self.terms), self.nvars)
+            self._coefs = np.fromiter(self.terms.values(), float, len(self.terms))
+        return self._index, self._coefs, self._width
+
+    def _check_points(self, pts):
+        if pts.shape[-1] != self.nvars:
+            raise ValueError(f"points must have last dimension {self.nvars}")
 
     def __call__(self, points):
         """Evaluate at points of shape (..., nvars).  Returns shape (...)."""
         pts = np.asarray(points, dtype=float)
-        if pts.shape[-1] != self.nvars:
-            raise ValueError(f"points must have last dimension {self.nvars}")
-        exps, coefs = self._compile()
-        if len(coefs) == 0:
+        self._check_points(pts)
+        if not self.terms:
             return np.zeros(pts.shape[:-1])
-        mono = np.prod(pts[..., None, :] ** exps, axis=-1)
-        return mono @ coefs
+        index, coefs, width = self._compile()
+        return _combine(_monomials(power_table(pts, width), index), coefs)
 
     # -- misc ---------------------------------------------------------
     @property

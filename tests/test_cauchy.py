@@ -17,6 +17,7 @@ from cauchys3.cauchy import (
     xi_operator,
 )
 from cauchys3.deformation import A0, DeformVector, deformation_field
+from cauchys3.exprspec import parse_field_spec
 from cauchys3.frame import Chirality, ScalarField, harmonic_quadratic, random_points
 from cauchys3.tensor import hodge_star, levi_civita_round, wedge_endo
 
@@ -369,3 +370,45 @@ def test_fd_mode_field_tolerance(pts500):
     assert float(np.max(norms)) < 1e-6
     # and well below: only first derivatives enter the residual
     assert float(np.max(norms)) < 1e-8
+
+
+README_SPEC = "sym(a1*a2 - a3^2, a4, a1*a3, 1 + a2^3, a4*a1, -a1)"
+
+
+def _fd_wrapped(exact):
+    entries = [
+        [ScalarField.from_callable(exact.entries[i][j], fd_step=1e-5) for j in range(3)]
+        for i in range(3)
+    ]
+    return SymEnd3Field(entries, exact.chirality)
+
+
+def _per_entry(A, pts, k=None):
+    """The matrix (k None) or its e_k-derivative, one ScalarField at a time."""
+    out = np.zeros(pts.shape[:-1] + (3, 3))
+    for i in range(3):
+        for j in range(3):
+            f = A.entries[i][j] if k is None else A.entries[i][j].frame_derivative(k, A.chirality)
+            out[..., i, j] = f(pts)
+    return out
+
+
+@pytest.mark.parametrize("name", ["rotated-left-133", "quartic", "readme-spec", "quartic-fd"])
+def test_jet_matches_per_entry_evaluation_bit_for_bit(name, pts500, rng):
+    if name == "rotated-left-133":
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        A = known_example("left-133", rotation=q)
+    elif name == "quartic":
+        A = right_family_left_frame()
+    elif name == "readme-spec":
+        A = parse_field_spec(README_SPEC)
+    else:
+        A = _fd_wrapped(right_family_left_frame())
+    for pts in (pts500[:120], pts500[7], pts500[:24].reshape(4, 6, 4)):
+        M, dM = A.jet(pts)
+        assert np.array_equal(M, _per_entry(A, pts))
+        assert np.array_equal(A.matrix(pts), M)
+        assert len(dM) == 3
+        for k in (1, 2, 3):
+            assert np.array_equal(dM[k - 1], _per_entry(A, pts, k))
+            assert np.array_equal(A.frame_derivative_matrix(k, pts), dM[k - 1])

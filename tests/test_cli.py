@@ -108,6 +108,20 @@ def test_cylinder_probe():
     assert norms[-1] / norms[0] > 10.0
 
 
+@pytest.mark.parametrize("npoints", ["1", "0", "-3"])
+def test_cylinder_probe_needs_two_points(npoints, capsys):
+    # strict increase over fewer than two values would be a vacuous pass
+    code, out = run_cli(
+        ["cylinder", "--s", "0.51..0.9", "--probe-curvature", "--probe-points", npoints]
+    )
+    assert code == EXIT_INPUT and out == ""
+    assert "--probe-points" in capsys.readouterr().err
+    code, out = run_cli(
+        ["cylinder", "--s", "0.51..0.9", "--probe-curvature", "--probe-points", "2"]
+    )
+    assert code == EXIT_PASS and len(json.loads(out)["probe_curvature_norm"]) == 2
+
+
 def test_cylinder_bad_range(capsys):
     assert main(["cylinder", "--t", "1..2"]) == EXIT_INPUT
     assert main(["cylinder"]) == EXIT_INPUT
@@ -150,6 +164,25 @@ def test_csv_bitwise_stable():
 def test_invalid_config_rejected(capsys):
     assert main(["--samples", "0", "deform"]) == EXIT_INPUT
     assert main(["--tol", "-1", "deform"]) == EXIT_INPUT
+
+
+def test_nan_tolerance_rejected(capsys):
+    code, out = run_cli(["--tol", "nan", "verify", "--builtin", "left-133"])
+    assert code == EXIT_INPUT and out == ""
+    assert "tolerance" in capsys.readouterr().err
+
+
+def test_nan_fd_step_rejected(capsys):
+    code, out = run_cli(["--fd-step", "nan", "verify", "--builtin", "left-133"])
+    assert code == EXIT_INPUT and out == ""
+    assert "fd-step" in capsys.readouterr().err
+
+
+def test_infinite_tolerance_rejected(capsys):
+    # an infinite tolerance would pass any residual
+    code, out = run_cli(["--tol", "inf", "verify", "--expr", "diag(2,2,2)"])
+    assert code == EXIT_INPUT and out == ""
+    assert main(["--fd-step", "inf", "deform"]) == EXIT_INPUT
 
 
 def test_human_format():

@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchys3.polynomial import Poly
+from cauchys3.polynomial import Poly, evaluate, power_table
 
 coeff = st.floats(min_value=-4, max_value=4, allow_nan=False)
 pt_coord = st.floats(min_value=-1.25, max_value=1.25, allow_nan=False)
@@ -67,3 +68,92 @@ def test_power():
     pts = np.array([[2.0, 0, 0]])
     assert (p**3)(pts)[0] == 27.0
     assert (p**0)(pts)[0] == 1.0
+
+
+# -- the evaluation kernel against the direct formula ------------------
+
+
+def reference_eval(p, points):
+    """One pow per (point, term, variable), multiplied out with np.prod:
+    the direct formula the shared-table kernel must reproduce bit for bit."""
+    pts = np.asarray(points, dtype=float)
+    if not p.terms:
+        return np.zeros(pts.shape[:-1])
+    exps = np.array(list(p.terms), dtype=np.int64)
+    coefs = np.array(list(p.terms.values()), dtype=float)
+    return np.prod(pts[..., None, :] ** exps, axis=-1) @ coefs
+
+
+def random_poly(rng, nvars, max_terms=40, max_exp=5):
+    nterms = int(rng.integers(0, max_terms + 1))
+    terms = {
+        tuple(int(k) for k in rng.integers(0, max_exp + 1, size=nvars)): float(rng.normal())
+        for _ in range(nterms)
+    }
+    return Poly(nvars, terms)
+
+
+def point_batches(rng, nvars):
+    scale = rng.choice([1e-3, 1.0, 1.25, 40.0])
+    return [
+        scale * rng.normal(size=(nvars,)),
+        scale * rng.normal(size=(int(rng.integers(1, 300)), nvars)),
+        scale * rng.normal(size=(3, int(rng.integers(1, 40)), nvars)),
+    ]
+
+
+def assert_bitwise(got, ref):
+    assert np.shape(got) == np.shape(ref)
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("nvars", [3, 4])
+def test_call_matches_reference_bit_for_bit(nvars):
+    rng = np.random.default_rng(100 + nvars)
+    for _ in range(80):
+        p = random_poly(rng, nvars)
+        for pts in point_batches(rng, nvars):
+            assert_bitwise(p(pts), reference_eval(p, pts))
+
+
+@pytest.mark.parametrize("nvars", [3, 4])
+def test_shared_table_matches_reference_bit_for_bit(nvars):
+    # polynomials of different widths against one table as wide as the
+    # widest of them
+    rng = np.random.default_rng(200 + nvars)
+    for _ in range(20):
+        polys = [random_poly(rng, nvars, max_exp=int(rng.integers(0, 6))) for _ in range(6)]
+        for pts in point_batches(rng, nvars):
+            for got, p in zip(evaluate(polys, pts), polys):
+                assert_bitwise(got, reference_eval(p, pts))
+
+
+def test_zero_and_constant_polynomials():
+    rng = np.random.default_rng(5)
+    for nvars in (3, 4):
+        zero = Poly(nvars, {})
+        const = Poly.constant(-2.75, nvars)
+        for pts in point_batches(rng, nvars):
+            assert_bitwise(zero(pts), reference_eval(zero, pts))
+            assert_bitwise(const(pts), reference_eval(const, pts))
+            assert np.all(const(pts) == -2.75) and np.all(zero(pts) == 0.0)
+            shared = evaluate([zero, const, zero], pts)
+            assert_bitwise(shared[0], zero(pts))
+            assert_bitwise(shared[1], const(pts))
+    assert evaluate([], np.zeros((2, 4))) == []
+
+
+def test_power_table_layout():
+    pts = np.array([[2.0, -3.0, 0.5], [1.0, 0.0, -1.0]])
+    table = power_table(pts, 3)
+    assert table.shape == (2, 9)
+    for k in range(3):
+        for v in range(3):
+            assert np.array_equal(table[:, 3 * k + v], pts[:, v] ** k)
+
+
+def test_evaluation_rejects_wrong_variable_count():
+    with pytest.raises(ValueError):
+        Poly.coordinate(0, 4)(np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        evaluate([Poly.coordinate(0, 3), Poly.coordinate(0, 4)], np.zeros(4))
