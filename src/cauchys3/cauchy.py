@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frame import Chirality, ScalarField, _as_array
+from .frame import Chirality, ScalarField, _as_array, frame_jet
 from .polynomial import evaluate
-from .tensor import gamma_round, hat, structure_constant, wedge_endo
+from .tensor import cov_matrix, divergence_from_jet, gamma_round, hat, structure_constant, wedge_endo
 
 __all__ = [
     "SymEnd3Field",
@@ -120,12 +120,15 @@ class SymEnd3Field:
 
     def jet(self, points) -> tuple:
         """(M, (dM_1, dM_2, dM_3)): the matrix and its three entrywise
-        frame derivatives.  For an exact field all 24 entry and
-        derivative polynomials share one power table.  Equal, bit for
-        bit, to `matrix` and `frame_derivative_matrix`."""
+        frame derivatives, evaluated by `frame_jet` (one power table for
+        exact entries, one flow pair per direction for finite-difference
+        ones).  Equal, bit for bit, to `matrix` and
+        `frame_derivative_matrix`."""
         pts = _as_array(points)
-        vals = _field_values([f for k in range(4) for f in self._upper_fields(k)], pts)
-        M, d1, d2, d3 = (self._symmetric(vals[6 * k : 6 * k + 6], pts.shape[:-1]) for k in range(4))
+        M, d1, d2, d3 = (
+            self._symmetric(vals, pts.shape[:-1])
+            for vals in frame_jet(self._upper_fields(), pts, self.chirality)
+        )
         return M, (d1, d2, d3)
 
     def trace(self, points) -> np.ndarray:
@@ -170,10 +173,13 @@ class VectorField3:
         pts = _as_array(points)
         return np.stack(_field_values(self.components, pts), axis=-1)
 
-    def frame_derivative_values(self, k: int, points) -> np.ndarray:
+    def jet(self, points) -> tuple:
+        """(x, (dx_1, dx_2, dx_3)): the (..., 3) component values and
+        their e_k-derivatives from one `frame_jet` call; x is
+        bit-identical to `values`."""
         pts = _as_array(points)
-        derivs = [c.frame_derivative(k, self.chirality) for c in self.components]
-        return np.stack(_field_values(derivs, pts), axis=-1)
+        x, d1, d2, d3 = (np.stack(vals, axis=-1) for vals in frame_jet(self.components, pts, self.chirality))
+        return x, (d1, d2, d3)
 
 
 # -- known solution families -------------------------------------------
@@ -252,12 +258,6 @@ def known_example(kind: str, rotation=None) -> SymEnd3Field:
 # -- connection and residuals -------------------------------------------
 
 
-def _cov_matrix(M, dM, k: int, chirality: Chirality) -> np.ndarray:
-    """nabla_{e_k} A as a frame matrix: dA_k + [Gamma_k, A], from the jet."""
-    G = gamma_round(k, chirality)
-    return dM[k - 1] + G @ M - M @ G
-
-
 def _frame_directions(x, y, pair):
     if pair is not None:
         x = np.eye(3)[pair[0] - 1]
@@ -295,7 +295,7 @@ def _flatness_from_jet(M, dM, chirality, x, y) -> np.ndarray:
     for k in range(3):
         if x[k] == 0.0 and y[k] == 0.0:
             continue
-        ck = _cov_matrix(M, dM, k + 1, chirality)
+        ck = cov_matrix(M, dM[k], k + 1, chirality)
         if x[k] != 0.0:
             covx = covx + x[k] * ck
         if y[k] != 0.0:
@@ -329,10 +329,7 @@ def gauss_codazzi_residual(A: SymEnd3Field, points):
     tr2 = np.einsum("...ij,...ji->...", M, M)
     scalar = 6.0 - tr**2 + tr2
 
-    vec = np.zeros(M.shape[:-2] + (3,))
-    for k in range(3):
-        ck = _cov_matrix(M, dM, k + 1, A.chirality)
-        vec = vec - ck[..., :, k]  # delta^nabla A
+    vec = divergence_from_jet(M, dM, A.chirality)  # delta^nabla A
     for k in range(3):
         # d tr A = sum_k e_k(tr A) e_k
         dtr = sum(dM[k][..., i, i] for i in range(3))
@@ -380,20 +377,20 @@ def linearized_residual(A: SymEnd3Field, Adot: SymEnd3Field, points, x=None, y=N
     return out - np.einsum("...ij,j->...i", N, bracket)
 
 
-def _exterior_derivative_vector(X: VectorField3, points) -> np.ndarray:
-    """dX of the metric-dual 1-form, as a dual 3-vector.
+def _symmetry_from_jet(M, x, dx, chirality: Chirality) -> np.ndarray:
+    """dX - *(X tr A - A X) from the matrix of A and the jet of X.
 
-    Component c (cyclic pair (a,b,c)):
-    e_a(x_b) - e_b(x_a) - lambda x_c, with lambda the structure constant.
+    Component c of dX (cyclic pair (a,b,c)) is
+    e_a(x_b) - e_b(x_a) - lambda x_c, with lambda the structure constant
+    of X's frame.
     """
-    pts = _as_array(points)
-    lam = structure_constant(X.chirality)
-    vals = X.values(pts)
-    d = [X.frame_derivative_values(k, pts) for k in (1, 2, 3)]
-    out = np.zeros_like(vals)
+    lam = structure_constant(chirality)
+    dX = np.zeros_like(x)
     for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        out[..., c] = d[a][..., b] - d[b][..., a] - lam * vals[..., c]
-    return out
+        dX[..., c] = dx[a][..., b] - dx[b][..., a] - lam * x[..., c]
+    tr = np.trace(M, axis1=-2, axis2=-1)
+    w = x * tr[..., None] - np.einsum("...ij,...j->...i", M, x)
+    return dX - w
 
 
 def symmetry_residual(A: SymEnd3Field, X: VectorField3, points, B=None) -> np.ndarray:
@@ -404,11 +401,8 @@ def symmetry_residual(A: SymEnd3Field, X: VectorField3, points, B=None) -> np.nd
     Vanishes exactly when d^{nabla^A} X + B is a symmetric endomorphism.
     """
     pts = _as_array(points)
-    M = A.matrix(pts)
-    vals = X.values(pts)
-    tr = np.trace(M, axis1=-2, axis2=-1)
-    w = vals * tr[..., None] - np.einsum("...ij,...j->...i", M, vals)
-    res = _exterior_derivative_vector(X, pts) - w
+    x, dx = X.jet(pts)
+    res = _symmetry_from_jet(A.matrix(pts), x, dx, X.chirality)
     if B is not None:
         Bm = B.matrix(pts) if hasattr(B, "matrix") else np.asarray(B, dtype=float)
         for k in range(3):
@@ -426,16 +420,13 @@ def xi_operator(A: SymEnd3Field, X: VectorField3, points):
     -sum_k e_k(w_k) (the frame is divergence-free).
     """
     pts = _as_array(points)
-    first = symmetry_residual(A, X, pts, B=None)
-
     M, dAs = A.jet(pts)
-    vals = X.values(pts)
+    vals, dxs = X.jet(pts)
+    first = _symmetry_from_jet(M, vals, dxs, X.chirality)
     tr = np.trace(M, axis1=-2, axis2=-1)
     div = np.zeros(pts.shape[:-1])
-    for k in range(3):
+    for k, (dx, dA) in enumerate(zip(dxs, dAs)):
         # W_k = x_k tr A - (A x)_k; e_k W_k by the product rule
-        dx = X.frame_derivative_values(k + 1, pts)
-        dA = dAs[k]
         dtr = np.trace(dA, axis1=-2, axis2=-1)
         div = div + (
             dx[..., k] * tr

@@ -24,7 +24,7 @@ import numpy as np
 from .cauchy import SymEnd3Field
 from .frame import Chirality, ScalarField, _as_array
 from .polynomial import Poly
-from .tensor import gamma_round
+from .tensor import cov_matrix, gamma_round, hat
 
 __all__ = [
     "constant_frame_residual",
@@ -185,71 +185,9 @@ def _e1_field():
     return VectorField3([1.0, 0.0, 0.0], Chirality.LEFT)
 
 
-def _base_gradient(f: ScalarField, pts) -> np.ndarray:
-    """Horizontal gradient (e_2 f, e_3 f) of an invariant function."""
-    return np.stack(
-        [f.frame_derivative(2, Chirality.LEFT)(pts), f.frame_derivative(3, Chirality.LEFT)(pts)],
-        axis=-1,
-    )
-
-
-def _base_nabla_v(h: HopfReducedData, pts) -> np.ndarray:
-    """Matrix D with D[..., j, i] = <nabla-bar_{e_{i+2}} v, e_{j+2}>.
-
-    Riemannian submersion: the base covariant derivative of the basic
-    field v is the horizontal projection of the round S^3 derivative.
-    """
-    vvals = h.v_values(pts)
-    out = np.zeros(pts.shape[:-1] + (2, 2))
-    for i in range(2):
-        G = gamma_round(i + 2, Chirality.LEFT)
-        dv = np.stack([c.frame_derivative(i + 2, Chirality.LEFT)(pts) for c in h.v], axis=-1)
-        full = np.zeros(pts.shape[:-1] + (3,))
-        full[..., 1:] = vvals
-        cov = np.einsum("ij,...j->...i", G, full)
-        out[..., :, i] = dv + cov[..., 1:]
-    return out
-
-
-def _base_div(h_fields, pts) -> np.ndarray:
-    """Divergence sum_i <nabla-bar_{e_i} w, e_i> of a horizontal invariant field."""
-    div = np.zeros(pts.shape[:-1])
-    wvals = np.stack([c(pts) for c in h_fields], axis=-1)
-    for i in range(2):
-        G = gamma_round(i + 2, Chirality.LEFT)
-        dw = h_fields[i].frame_derivative(i + 2, Chirality.LEFT)(pts)
-        full = np.zeros(pts.shape[:-1] + (3,))
-        full[..., 1:] = wvals
-        cov = np.einsum("ij,...j->...i", G, full)
-        div = div + dw + cov[..., i + 1]
-    return div
-
-
-def _base_delta_endo(entry_fields, pts) -> np.ndarray:
-    """delta^bar C = -sum_i (nabla-bar_{e_i} C)(e_i) for a 2x2 invariant block.
-
-    entry_fields is a 2x2 nested sequence of ScalarFields.  C is
-    extended by zero on xi; the projected round derivative implements
-    the base connection.
-    """
-    Cv = np.zeros(pts.shape[:-1] + (2, 2))
-    for i in range(2):
-        for j in range(2):
-            Cv[..., i, j] = entry_fields[i][j](pts)
-    Chat = np.zeros(pts.shape[:-1] + (3, 3))
-    Chat[..., 1:, 1:] = Cv
-    delta = np.zeros(pts.shape[:-1] + (2,))
-    for i in range(2):
-        G = gamma_round(i + 2, Chirality.LEFT)
-        dC = np.zeros(pts.shape[:-1] + (3, 3))
-        for a in range(2):
-            for b in range(2):
-                dC[..., a + 1, b + 1] = entry_fields[a][b].frame_derivative(
-                    i + 2, Chirality.LEFT
-                )(pts)
-        cov = dC + G @ Chat - Chat @ G
-        delta = delta - cov[..., 1:, i + 1]
-    return delta
+def _twist(m) -> np.ndarray:
+    """m J on the last axis, for J e_2 = e_3, J e_3 = -e_2: columns (m_1, -m_0)."""
+    return np.stack([m[..., 1], -m[..., 0]], axis=-1)
 
 
 def hopf_reduction_residual(h: HopfReducedData, points) -> np.ndarray:
@@ -260,33 +198,53 @@ def hopf_reduction_residual(h: HopfReducedData, points) -> np.ndarray:
       2. (f-1) J (B+1) - nabla-bar v - v (x) Jv     [v (x) w : X -> g(v,X) w]
       3. 2(1+f) - det(B+1) - d*(Jv)
       4. delta-bar(B J) - J (B+3) J v
+
+    f, v, B and their e_2, e_3 derivatives come from one jet of the
+    left-frame field they assemble (B is read from its upper triangle).
+    Base covariant derivatives of the basic fields are the horizontal
+    projections of round S^3 derivatives (Riemannian submersion), with
+    v and B J extended by zero on xi.
     """
     pts = _as_array(points)
-    f = h.f_values(pts)
-    v = h.v_values(pts)
-    B = h.B_values(pts)
+    shape = pts.shape[:-1]
+    A = SymEnd3Field(
+        [[h.f, h.v[0], h.v[1]], [h.v[0], h.B[0][0], h.B[0][1]], [h.v[1], h.B[0][1], h.B[1][1]]],
+        Chirality.LEFT,
+    )
+    M, (_, d2, d3) = A.jet(pts)
+    f = M[..., 0, 0]
+    v = M[..., 0, 1:]
+    B = M[..., 1:, 1:]
     Bp1 = B + _I2
-
     jv = np.einsum("ij,...j->...i", _J2, v)
-    r1 = np.einsum("...ij,...j->...i", Bp1, jv) - _base_gradient(h.f, pts)
 
-    Dv = _base_nabla_v(h, pts)
+    # base derivatives along e_2, e_3 of v, Jv = -v3 e2 + v2 e3 and B J
+    vhat = np.zeros(shape + (3,))
+    vhat[..., 1:] = v
+    jvhat = np.zeros(shape + (3,))
+    jvhat[..., 1:] = np.stack([-v[..., 1], v[..., 0]], axis=-1)
+    djv = (-d2[..., 0, 2], d3[..., 0, 1])  # e_2 (Jv)_2, e_3 (Jv)_3
+    bj = np.zeros(shape + (3, 3))
+    bj[..., 1:, 1:] = _twist(B)
+    Dv = np.zeros(shape + (2, 2))  # Dv[..., j, i] = <nabla-bar_{e_{i+2}} v, e_{j+2}>
+    div_jv = np.zeros(shape)
+    delta_bj = np.zeros(shape + (2,))  # -sum_i (nabla-bar_{e_i} BJ)(e_i)
+    for i, dM in enumerate((d2, d3)):
+        G = gamma_round(i + 2, Chirality.LEFT)
+        Dv[..., :, i] = dM[..., 0, 1:] + np.einsum("ij,...j->...i", G, vhat)[..., 1:]
+        div_jv = div_jv + djv[i] + np.einsum("ij,...j->...i", G, jvhat)[..., i + 1]
+        dbj = np.zeros(shape + (3, 3))
+        dbj[..., 1:, 1:] = _twist(dM[..., 1:, 1:])
+        delta_bj = delta_bj - cov_matrix(bj, dbj, i + 2, Chirality.LEFT)[..., 1:, i + 1]
+
+    df = np.stack([d2[..., 0, 0], d3[..., 0, 0]], axis=-1)
+    r1 = np.einsum("...ij,...j->...i", Bp1, jv) - df
     outer = np.einsum("...i,...j->...ij", jv, v)  # (v ox Jv)(X) = g(v,X) Jv
     r2 = (f - 1.0)[..., None, None] * np.einsum("ij,...jk->...ik", _J2, Bp1) - Dv - outer
-
-    jv_fields = (-h.v[1], h.v[0])  # Jv = -v3 e2 + v2 e3 for v = v2 e2 + v3 e3
-    dstar = -_base_div(jv_fields, pts)
     det = Bp1[..., 0, 0] * Bp1[..., 1, 1] - Bp1[..., 0, 1] * Bp1[..., 1, 0]
-    r3 = 2.0 * (1.0 + f) - det - dstar
-
-    # BJ entry fields: (BJ)[a][b] = sum_c B[a][c] J[c][b]; J constant
-    bj = [
-        [h.B[a][1] * _J2[1, 0] + h.B[a][0] * _J2[0, 0], h.B[a][0] * _J2[0, 1] + h.B[a][1] * _J2[1, 1]]
-        for a in range(2)
-    ]
-    delta = _base_delta_endo(bj, pts)
+    r3 = 2.0 * (1.0 + f) - det + div_jv  # d*(Jv) = -div(Jv)
     rhs4 = np.einsum("ij,...j->...i", _J2, np.einsum("...ij,...j->...i", B + 3.0 * _I2, jv))
-    r4 = delta - rhs4
+    r4 = delta_bj - rhs4
 
     return np.stack(
         [
@@ -312,6 +270,8 @@ def special_case_residual(f: ScalarField, B, points) -> np.ndarray:
         isinstance(B, (list, tuple)) and np.isscalar(B[0][0])
     ):
         Bm = np.asarray(B, dtype=float)
+        if not np.array_equal(Bm, Bm.T):
+            raise ValueError("B must be symmetric")
         B_fields = tuple(
             tuple(ScalarField.constant(float(Bm[i, j])) for j in range(2)) for i in range(2)
         )
@@ -462,18 +422,6 @@ def s2_rigidity_residual(U: S2EndField, p) -> tuple:
     return _det_tangent(U, p) - 1.0, np.array([delta @ x, delta @ jx])
 
 
-def _jmat(p) -> np.ndarray:
-    """The complex structure at p as the ambient matrix v -> p x v."""
-    p = np.asarray(p, dtype=float)
-    return np.array(
-        [
-            [0.0, -p[2], p[1]],
-            [p[2], 0.0, -p[0]],
-            [-p[1], p[0], 0.0],
-        ]
-    )
-
-
 def codazzi_divfree_equiv(S: S2EndField, p) -> tuple:
     """Both sides of the surface identity  J d^bar S(X, JX) = -delta-bar(J S J).
 
@@ -484,7 +432,7 @@ def codazzi_divfree_equiv(S: S2EndField, p) -> tuple:
     p = np.asarray(p, dtype=float)
     x, jx = tangent_basis(p)
     d_codazzi = _covariant_endo(S, p, x, jx) - _covariant_endo(S, p, jx, x)
-    J = _jmat(p)
+    J = hat(p)  # the complex structure v -> p x v
     lhs = J @ d_codazzi
 
     if S.mats is not None:
@@ -505,21 +453,10 @@ def codazzi_divfree_equiv(S: S2EndField, p) -> tuple:
     else:
         JSJ = S2EndField(
             func=lambda q, S=S: np.einsum(
-                "...ij,...jk,...kl->...il", _jmat_batch(q), S.value(q), _jmat_batch(q)
+                "...ij,...jk,...kl->...il", hat(q), S.value(q), hat(q)
             ),
             fd_step=S.fd_step,
         )
     rhs = -_delta_endo_s2(JSJ, p)
     return lhs, rhs
 
-
-def _jmat_batch(p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    out = np.zeros(p.shape[:-1] + (3, 3))
-    out[..., 0, 1] = -p[..., 2]
-    out[..., 1, 0] = p[..., 2]
-    out[..., 0, 2] = p[..., 1]
-    out[..., 2, 0] = -p[..., 1]
-    out[..., 1, 2] = -p[..., 0]
-    out[..., 2, 1] = p[..., 0]
-    return out

@@ -71,10 +71,10 @@ class RunConfig:
 
 
 def _fmt_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x in (float("inf"), float("-inf")):
-        return '"Infinity"' if x > 0 else '"-Infinity"'
+    """17 significant digits; a non-finite value becomes the JSON string
+    "NaN", "Infinity" or "-Infinity", so the document stays strict JSON."""
+    if not math.isfinite(x):
+        return '"NaN"' if x != x else ('"Infinity"' if x > 0 else '"-Infinity"')
     return format(float(x), ".17g")
 
 
@@ -277,7 +277,10 @@ def _parse_range(text: str) -> tuple:
     parts = text.split("..")
     if len(parts) != 2:
         raise ValueError(f"expected LO..HI, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    lo, hi = float(parts[0]), float(parts[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"range bounds must be finite, got {text!r}")
+    return lo, hi
 
 
 def cmd_cylinder(args, config: RunConfig) -> int:

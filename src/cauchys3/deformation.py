@@ -17,7 +17,7 @@ import numpy as np
 
 from .cauchy import SymEnd3Field, VectorField3
 from .frame import Chirality, ScalarField, _as_array, harmonic_quadratic
-from .tensor import gamma_round, hat
+from .tensor import gamma_round, hat, structure_constant
 
 __all__ = [
     "A0",
@@ -130,10 +130,9 @@ def lie_derivative_endo(A: SymEnd3Field, Z: VectorField3, points) -> np.ndarray:
     if A.chirality is not Z.chirality:
         raise ValueError("chirality mismatch")
     pts = _as_array(points)
-    lam = 2.0 if A.chirality is Chirality.LEFT else -2.0
+    lam = structure_constant(A.chirality)
     M, dA = A.jet(pts)
-    z = Z.values(pts)
-    dz = [Z.frame_derivative_values(k, pts) for k in (1, 2, 3)]
+    z, dz = Z.jet(pts)
 
     # [Z, W] for coefficient fields: sum_k (z_k e_k(w_j) - w_k e_k(z_j)) e_j
     #                                + lam * cross(z, w)
@@ -153,6 +152,16 @@ def lie_derivative_endo(A: SymEnd3Field, Z: VectorField3, points) -> np.ndarray:
     return out
 
 
+def _nabla_A0(vals, dX) -> np.ndarray:
+    """nabla^{A0} X from the jet of X: out[..., j, i] is the j-th
+    coefficient of nabla^{A0}_{e_i} X."""
+    out = np.zeros(vals.shape[:-1] + (3, 3))
+    for i in range(3):
+        gamma_mod = gamma_round(i + 1, Chirality.LEFT) + hat(A0_MATRIX[:, i])
+        out[..., :, i] = dX[i] + np.einsum("ij,...j->...i", gamma_mod, vals)
+    return out
+
+
 def nabla_A0_of_deformation(d: DeformVector, points) -> np.ndarray:
     """The full frame matrix of nabla^{A0} X for the deformation field X.
 
@@ -160,19 +169,7 @@ def nabla_A0_of_deformation(d: DeformVector, points) -> np.ndarray:
     matrix is symmetric with zero diagonal, zero (2,3)-entry, and
     constant entries (1,2) = -2 c3, (1,3) = 2 c2.
     """
-    X = deformation_field(d)
-    pts = _as_array(points)
-    vals = X.values(pts)
-    M0 = A0_MATRIX
-    out = np.zeros(pts.shape[:-1] + (3, 3))
-    for i in range(3):
-        dx = X.frame_derivative_values(i + 1, pts)
-        gamma_mod = gamma_round(i + 1, Chirality.LEFT) + hat(M0[:, i])
-        col = dx + np.einsum("ij,...j->...i", gamma_mod, vals)
-        out[..., :, i] = col
-    # transpose to (j, i) = <nabla_{e_i} X, e_j>: out above already has
-    # out[..., j, i] = j-th coefficient of nabla_{e_i} X
-    return out
+    return _nabla_A0(*deformation_field(d).jet(points))
 
 
 def deformation_report(points, tol: float = 1e-10) -> dict:
@@ -190,9 +187,9 @@ def deformation_report(points, tol: float = 1e-10) -> dict:
     images = []
     pairing_err = 0.0
     for d in basis:
-        X = deformation_field(d)
-        rows.append(X.values(pts).reshape(-1))
-        img = nabla_A0_of_deformation(d, pts)
+        vals, dX = deformation_field(d).jet(pts)
+        rows.append(vals.reshape(-1))
+        img = _nabla_A0(vals, dX)
         pred = -0.25 * (d.c2 * LIE_E2_A0 + d.c3 * LIE_E3_A0)
         pairing_err = max(pairing_err, float(np.max(np.abs(img - pred))))
         images.append(img.mean(axis=tuple(range(img.ndim - 2))).reshape(-1))

@@ -7,8 +7,9 @@ Accepted forms:
     sym(E11, E12, E13, E22, E23, E33)   upper triangle, row-major
 
 where each entry E is a polynomial expression in the ambient
-coordinates a1..a4: numbers, + - *, unary minus, integer ^, and
-parentheses.  No general function calls.
+coordinates a1..a4: numbers (decimal, with an optional exponent as in
+1e-3), + - *, unary minus, integer ^, and parentheses.  No general
+function calls.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ class ParseError(ValueError):
 
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)|(?P<coord>a[1-4])|(?P<op>[()+\-*^,]))"
+    r"\s*(?:(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)|(?P<coord>a[1-4])|(?P<op>[()+\-*^,]))"
 )
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomial import Poly
+from .polynomial import Poly, evaluate
 
 __all__ = [
     "Chirality",
@@ -29,6 +29,7 @@ __all__ = [
     "invariant_vector",
     "flow",
     "directional_derivative",
+    "frame_jet",
     "hopf_project",
     "harmonic_quadratic",
     "random_points",
@@ -318,13 +319,49 @@ class ScalarField:
             h = self.fd_step
 
             def d(pts, f=self, k=k, c=chirality, h=h):
-                plus = f(flow(pts, k, h, c))
-                minus = f(flow(pts, k, -h, c))
-                return (plus - minus) / (2.0 * h)
+                return _central_difference(f, flow(pts, k, h, c), flow(pts, k, -h, c), h)
 
             out = ScalarField(func=d, fd_step=h, _fd_depth=self._fd_depth + 1)
         self._dcache[key] = out
         return out
+
+
+def _central_difference(f: ScalarField, plus, minus, h: float) -> np.ndarray:
+    """(f(plus) - f(minus)) / 2h: the one finite-difference formula."""
+    return (f(plus) - f(minus)) / (2.0 * h)
+
+
+def frame_jet(fields, points, chirality: Chirality = Chirality.LEFT) -> list:
+    """Values of `fields` at points and of their e_1, e_2, e_3 derivatives.
+
+    Returns four lists (values, e_1 f, e_2 f, e_3 f), one array per
+    field.  Exact fields and their derivative polynomials share one
+    power table.  Finite-difference fields share their flowed points:
+    flow(points, k, +-h) is computed once per direction k and step h,
+    and each field's derivative is formed from it by the same central
+    difference that `ScalarField.frame_derivative` uses, so every array
+    is bit-identical to evaluating the derivative field on its own.
+    """
+    pts = _as_array(points)
+    out = [[None] * len(fields) for _ in range(4)]
+    exact = [i for i, f in enumerate(fields) if f.poly is not None]
+    slots = [(k, i) for k in range(4) for i in exact]
+    polys = [fields[i].frame_derivative(k, chirality).poly if k else fields[i].poly for k, i in slots]
+    for (k, i), val in zip(slots, evaluate(polys, pts)):
+        out[k][i] = val
+    flows = {}
+    for i, f in enumerate(fields):
+        if f.poly is not None:
+            continue
+        if f._fd_depth >= 2:
+            raise ValueError("finite-difference mode supports at most two derivatives")
+        out[0][i] = f(pts)
+        h = f.fd_step
+        for k in (1, 2, 3):
+            if (k, h) not in flows:
+                flows[k, h] = (flow(pts, k, h, chirality), flow(pts, k, -h, chirality))
+            out[k][i] = _central_difference(f, *flows[k, h], h)
+    return out
 
 
 def directional_derivative(f: ScalarField, q, word, chirality: Chirality = Chirality.LEFT):

@@ -36,6 +36,8 @@ __all__ = [
     "gamma_berger",
     "gamma_berger_orthonormal",
     "curvature_berger",
+    "cov_matrix",
+    "divergence_from_jet",
     "d_nabla_A",
     "divergence_A",
 ]
@@ -226,13 +228,25 @@ def d_nabla_A(A, points, x, y, connection="round", berger: BergerParams | None =
     return np.einsum("...ij,j->...i", covx, y) - np.einsum("...ij,j->...i", covy, x)
 
 
-def divergence_A(A, points) -> np.ndarray:
-    """delta^nabla A = -sum_k (nabla_{e_k} A)(e_k) for the round metric."""
-    M = A.matrix(points)
+def cov_matrix(M, dMk, k: int, chirality: Chirality = Chirality.LEFT) -> np.ndarray:
+    """nabla_{e_k} A as a frame matrix, dA_k + [Gamma_k, A], from the
+    matrix M of A and its entrywise e_k-derivative dMk (round metric)."""
+    G = gamma_round(k, chirality)
+    return dMk + G @ M - M @ G
+
+
+def divergence_from_jet(M, dM, chirality: Chirality = Chirality.LEFT) -> np.ndarray:
+    """delta^nabla A = -sum_k (nabla_{e_k} A)(e_k) from the jet (M, (dM_1, dM_2, dM_3))."""
     out = np.zeros(M.shape[:-2] + (3,))
     for k in range(3):
-        dM = A.frame_derivative_matrix(k + 1, points)
-        G = gamma_round(k + 1, A.chirality)
-        covk = dM + G @ M - M @ G
-        out = out - covk[..., :, k]
+        out = out - cov_matrix(M, dM[k], k + 1, chirality)[..., :, k]
     return out
+
+
+def divergence_A(A, points) -> np.ndarray:
+    """delta^nabla A = -sum_k (nabla_{e_k} A)(e_k) for the round metric.
+
+    A must expose `jet(points) -> (M, (dM_1, dM_2, dM_3))`; it is taken
+    once per call."""
+    M, dM = A.jet(points)
+    return divergence_from_jet(M, dM, A.chirality)

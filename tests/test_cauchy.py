@@ -412,3 +412,65 @@ def test_jet_matches_per_entry_evaluation_bit_for_bit(name, pts500, rng):
         for k in (1, 2, 3):
             assert np.array_equal(dM[k - 1], _per_entry(A, pts, k))
             assert np.array_equal(A.frame_derivative_matrix(k, pts), dM[k - 1])
+
+
+def test_fd_jet_shares_one_flow_pair_per_direction(pts500, monkeypatch):
+    import cauchys3.frame as frame_module
+
+    calls = []
+    flow = frame_module.flow
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return flow(*args, **kwargs)
+
+    monkeypatch.setattr(frame_module, "flow", counted)
+    A = _fd_wrapped(right_family_left_frame())
+    A.jet(pts500[:40])
+    assert len(calls) == 6  # was 36: two flows for each of 6 entries x 3 directions
+    assert sorted(calls) == sorted((k, s * 1e-5) for k in (1, 2, 3) for s in (1.0, -1.0))
+    # a second step gets its own flows; exact entries need none
+    calls.clear()
+    exact = right_family_left_frame()
+    mixed = SymEnd3Field(
+        [
+            [ScalarField.from_callable(exact.entries[0][0], fd_step=1e-4), exact.entries[0][1], exact.entries[0][2]],
+            [0.0, ScalarField.from_callable(exact.entries[1][1], fd_step=1e-5), exact.entries[1][2]],
+            [0.0, 0.0, 2.0],
+        ]
+    )
+    pts = pts500[:40]
+    M, dM = mixed.jet(pts)
+    assert len(calls) == 12
+    assert np.array_equal(M, _per_entry(mixed, pts))
+    for k in (1, 2, 3):
+        assert np.array_equal(dM[k - 1], _per_entry(mixed, pts, k))
+
+
+def test_jet_rejects_third_fd_derivative(pts500):
+    f = ScalarField.from_callable(lambda p: p[..., 0]).frame_derivative(1).frame_derivative(2)
+    with pytest.raises(ValueError):
+        SymEnd3Field([[f, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]).jet(pts500[:5])
+
+
+@pytest.mark.parametrize("mode", ["exact", "fd"])
+def test_vector_jet_symmetry_and_xi_match_per_field_evaluation(mode, pts500):
+    X = deformation_field(DeformVector((0.3, -1.2, 0.7), c2=0.5, c3=-2.0))
+    if mode == "fd":
+        X = VectorField3([ScalarField.from_callable(c, fd_step=1e-5) for c in X.components])
+    A = right_family_left_frame()
+    pts = pts500[:50]
+    x, dx = X.jet(pts)
+    assert np.array_equal(x, X.values(pts))
+    d = [np.stack([c.frame_derivative(k)(pts) for c in X.components], axis=-1) for k in (1, 2, 3)]
+    for k in range(3):
+        assert np.array_equal(dx[k], d[k])
+    # dX - *(X tr A - A X), assembled from the per-field values
+    M = A.matrix(pts)
+    dX = np.zeros_like(x)
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        dX[..., c] = d[a][..., b] - d[b][..., a] - 2.0 * x[..., c]
+    tr = np.trace(M, axis1=-2, axis2=-1)
+    expected = dX - (x * tr[..., None] - np.einsum("...ij,...j->...i", M, x))
+    assert np.array_equal(symmetry_residual(A, X, pts), expected)
+    assert np.array_equal(xi_operator(A, X, pts)[0], expected)

@@ -24,6 +24,7 @@ from cauchys3.classify import (
 )
 from cauchys3.frame import Chirality, ScalarField, coordinate_field
 from cauchys3.polynomial import Poly
+from cauchys3.tensor import gamma_round
 
 EXPECTED_SOLUTIONS = {
     (1.0, 1.0, 1.0),
@@ -149,6 +150,128 @@ def test_sd_zero_field_controls(pts50):
     assert per_eq[1] >= 0.5  # (f-1)J(B+1) has J-scale entries
     assert abs(per_eq[2] - 1.0) < 1e-15  # 2 - det(Id) = 1
     assert per_eq[3] < 1e-15
+
+
+# The helper-based residual this package shipped before the jet: every
+# field, derivative field and twisted field evaluated on its own.  Kept
+# as an oracle for the jet-based hopf_reduction_residual.
+_J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def _ref_gradient(f, pts):
+    return np.stack([f.frame_derivative(2)(pts), f.frame_derivative(3)(pts)], axis=-1)
+
+
+def _ref_horizontal_cov(G, wvals, pts):
+    full = np.zeros(pts.shape[:-1] + (3,))
+    full[..., 1:] = wvals
+    return np.einsum("ij,...j->...i", G, full)
+
+
+def _ref_nabla_v(h, pts):
+    vvals = np.stack([c(pts) for c in h.v], axis=-1)
+    out = np.zeros(pts.shape[:-1] + (2, 2))
+    for i in range(2):
+        dv = np.stack([c.frame_derivative(i + 2)(pts) for c in h.v], axis=-1)
+        out[..., :, i] = dv + _ref_horizontal_cov(gamma_round(i + 2), vvals, pts)[..., 1:]
+    return out
+
+
+def _ref_div(fields, pts):
+    div = np.zeros(pts.shape[:-1])
+    wvals = np.stack([c(pts) for c in fields], axis=-1)
+    for i in range(2):
+        dw = fields[i].frame_derivative(i + 2)(pts)
+        div = div + dw + _ref_horizontal_cov(gamma_round(i + 2), wvals, pts)[..., i + 1]
+    return div
+
+
+def _ref_delta_endo(fields, pts):
+    Chat = np.zeros(pts.shape[:-1] + (3, 3))
+    for i in range(2):
+        for j in range(2):
+            Chat[..., i + 1, j + 1] = fields[i][j](pts)
+    delta = np.zeros(pts.shape[:-1] + (2,))
+    for i in range(2):
+        G = gamma_round(i + 2)
+        dC = np.zeros(pts.shape[:-1] + (3, 3))
+        for a in range(2):
+            for b in range(2):
+                dC[..., a + 1, b + 1] = fields[a][b].frame_derivative(i + 2)(pts)
+        delta = delta - (dC + G @ Chat - Chat @ G)[..., 1:, i + 1]
+    return delta
+
+
+def _reference_hopf_residual(h, pts):
+    f = h.f(pts)
+    v = np.stack([c(pts) for c in h.v], axis=-1)
+    B = np.zeros(pts.shape[:-1] + (2, 2))
+    for i in range(2):
+        for j in range(2):
+            B[..., i, j] = h.B[i][j](pts)
+    Bp1 = B + np.eye(2)
+    jv = np.einsum("ij,...j->...i", _J2, v)
+    r1 = np.einsum("...ij,...j->...i", Bp1, jv) - _ref_gradient(h.f, pts)
+    outer = np.einsum("...i,...j->...ij", jv, v)
+    r2 = (f - 1.0)[..., None, None] * np.einsum("ij,...jk->...ik", _J2, Bp1) - _ref_nabla_v(h, pts) - outer
+    dstar = -_ref_div((-h.v[1], h.v[0]), pts)
+    det = Bp1[..., 0, 0] * Bp1[..., 1, 1] - Bp1[..., 0, 1] * Bp1[..., 1, 0]
+    r3 = 2.0 * (1.0 + f) - det - dstar
+    bj = [
+        [h.B[a][1] * _J2[1, 0] + h.B[a][0] * _J2[0, 0], h.B[a][0] * _J2[0, 1] + h.B[a][1] * _J2[1, 1]]
+        for a in range(2)
+    ]
+    rhs4 = np.einsum("ij,...j->...i", _J2, np.einsum("...ij,...j->...i", B + 3.0 * np.eye(2), jv))
+    r4 = _ref_delta_endo(bj, pts) - rhs4
+    return np.stack(
+        [
+            np.max(np.abs(r1), axis=-1),
+            np.max(np.abs(r2), axis=(-2, -1)),
+            np.abs(r3),
+            np.max(np.abs(r4), axis=-1),
+        ],
+        axis=-1,
+    )
+
+
+def _fd_wrapped(A):
+    return SymEnd3Field(
+        [[ScalarField.from_callable(A.entries[i][j], fd_step=1e-5) for j in range(3)] for i in range(3)],
+        A.chirality,
+    )
+
+
+def _hopf_reference_case(name):
+    if name == "zero":
+        zero = ScalarField.constant(0.0)
+        return HopfReducedData(f=zero, v=(zero, zero), B=((zero, zero), (zero, zero)))
+    if name == "quartic-fd":
+        return hopf_reduce(_fd_wrapped(right_family_left_frame()))
+    if name == "noninvariant":  # every residual is nonzero somewhere
+        a = [coordinate_field(m) for m in (1, 2, 3, 4)]
+        A = SymEnd3Field(
+            [[a[0], a[1] * 0.5, a[2]], [a[1] * 0.5, a[3], a[0] * 2.0], [a[2], a[0] * 2.0, 1.5]]
+        )
+        return hopf_reduce(A, check_invariance=False)
+    return hopf_reduce(dict(_reductions_of_known_families())[name])
+
+
+@pytest.mark.parametrize(
+    "name", ["plus-id", "minus-id", "left-133", "right-133", "zero", "quartic-fd", "noninvariant"]
+)
+def test_hopf_residual_matches_reference_bit_for_bit(name, pts200):
+    h = _hopf_reference_case(name)
+    for pts in (pts200[:60], pts200[3], pts200[:24].reshape(4, 6, 4)):
+        res = hopf_reduction_residual(h, pts)
+        ref = _reference_hopf_residual(h, pts)
+        assert res.dtype == ref.dtype and np.array_equal(res, ref), name
+    if name == "noninvariant":
+        assert np.all(np.max(_reference_hopf_residual(h, pts200), axis=0) > 0.1)
+
+
+def test_special_case_rejects_asymmetric_block(pts50):
+    with pytest.raises(ValueError):
+        special_case_residual(1.0, np.array([[1.0, 0.5], [0.0, 1.0]]), pts50)
 
 
 def test_hopf_reduce_rejects_noninvariant_fields():

@@ -127,6 +127,24 @@ def test_cylinder_bad_range(capsys):
     assert main(["cylinder"]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--t", "0..nan"],
+        ["--t", "0..inf"],
+        ["--t", "0..-inf"],
+        ["--s", "0.6..nan"],
+        ["--s", "inf..0.9"],
+        ["--s", "0.51..inf", "--probe-curvature"],
+    ],
+    ids=" ".join,
+)
+def test_cylinder_nonfinite_range_rejected(argv, capsys):
+    code, out = run_cli(["cylinder"] + argv)
+    assert code == EXIT_INPUT and out == ""
+    assert "finite" in capsys.readouterr().err
+
+
 def test_rigidity():
     code, out = run_cli(["--samples", "40", "rigidity"])
     assert code == EXIT_PASS
@@ -197,6 +215,26 @@ def test_csv_format_scalar_report():
     assert code == EXIT_PASS
     assert out.startswith("key,value")
     assert "flatness_max,0" in out
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_canonical_json_nonfinite_floats_are_strict_json():
+    txt = canonical_json({"n": float("nan"), "p": float("inf"), "m": np.float64("-inf"), "x": [1.5]})
+    doc = json.loads(txt, parse_constant=_reject_constant)
+    assert doc == {"n": "NaN", "p": "Infinity", "m": "-Infinity", "x": [1.5]}
+
+
+def test_verify_overflowing_field_output_is_strict_json():
+    # a coefficient that overflows to inf makes every residual NaN
+    with np.errstate(all="ignore"):
+        code, out = run_cli(["--samples", "20", "verify", "--expr", "diag(" + "9" * 400 + ",1,1)"])
+    assert code == EXIT_TOLERANCE
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["schema"] == 1 and doc["pass"] is False
+    assert doc["flatness_max"] == "NaN"
 
 
 def test_canonical_json_17_digits():

@@ -47,3 +47,25 @@ def test_parse_field_specs():
     assert np.max(np.abs(M - np.swapaxes(M, 1, 2))) == 0.0
     with pytest.raises(ParseError):
         parse_field_spec("builtin:unknown")
+
+
+@pytest.mark.parametrize(
+    "text,value", [("1e-3", 0.001), ("2.5E+2", 250.0), (".5e1", 5.0), ("3E2", 300.0), ("7.e-1", 0.7)]
+)
+def test_parse_exponent_notation(text, value):
+    p = parse_poly_expr(text)
+    assert p(np.array([0.0, 0, 0, 1])) == value
+    q = parse_poly_expr(f"{text}*a1 - a2")
+    assert q(np.array([1.0, 0.5, 0, 0])) == value - 0.5
+
+
+@pytest.mark.parametrize("bad", ["1e", "1e+", "2.5E-", "1ea1", "e3"])
+def test_parse_incomplete_exponent_rejected(bad):
+    with pytest.raises(ParseError):
+        parse_poly_expr(bad)
+
+
+def test_field_spec_with_exponent_notation():
+    pts = random_points(5, seed=2)
+    A = parse_field_spec("diag(1e-3,1,1)")
+    assert np.array_equal(A.matrix(pts), parse_field_spec("diag(0.001,1,1)").matrix(pts))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cauchys3.cauchy import SymEnd3Field
-from cauchys3.frame import Chirality, random_points
+from cauchys3.cauchy import SymEnd3Field, right_family_left_frame
+from cauchys3.frame import Chirality, ScalarField, random_points
 from cauchys3.tensor import (
     BergerParams,
     curvature_berger,
@@ -216,3 +216,27 @@ def test_divergence(pts200):
     )
     pts = pts200[:40]
     assert np.max(np.abs(divergence_A(Apoly, pts) - divergence_A(Afd, pts))) < 1e-8
+
+
+def _divergence_by_assembly(A, pts):
+    """delta^nabla A from `matrix` and one `frame_derivative_matrix` per direction."""
+    M = A.matrix(pts)
+    out = np.zeros(M.shape[:-2] + (3,))
+    for k in range(3):
+        G = gamma_round(k + 1, A.chirality)
+        out = out - (A.frame_derivative_matrix(k + 1, pts) + G @ M - M @ G)[..., :, k]
+    return out
+
+
+@pytest.mark.parametrize("mode", ["exact", "fd"])
+def test_divergence_matches_assembly_bit_for_bit(mode, pts200):
+    A = right_family_left_frame()
+    if mode == "fd":
+        A = SymEnd3Field(
+            [[ScalarField.from_callable(A.entries[i][j], fd_step=1e-5) for j in range(3)] for i in range(3)]
+        )
+    for pts in (pts200[:80], pts200[5], pts200[:24].reshape(3, 8, 4)):
+        got = divergence_A(A, pts)
+        assert np.array_equal(got, _divergence_by_assembly(A, pts))
+    # the quartic field is a solution with constant trace: delta^nabla A = 0
+    assert float(np.max(np.abs(got))) < (1e-6 if mode == "fd" else 1e-12)
