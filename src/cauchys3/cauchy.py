@@ -17,7 +17,7 @@ import numpy as np
 
 from .frame import Chirality, ScalarField, _as_array, frame_jet
 from .polynomial import evaluate
-from .tensor import cov_matrix, divergence_from_jet, gamma_round, hat, structure_constant, wedge_endo
+from .tensor import cov_matrix, cov_vector, divergence_from_jet, structure_constant, wedge_endo
 
 __all__ = [
     "SymEnd3Field",
@@ -60,6 +60,14 @@ def _coerce_entry(value) -> ScalarField:
     raise TypeError("matrix entries must be ScalarFields or numbers")
 
 
+def _same_entry(f: ScalarField, g: ScalarField) -> bool:
+    """Exact fields by their terms (numbers are constant fields, so by
+    value), finite-difference fields by their callable and step."""
+    if f.poly is not None or g.poly is not None:
+        return f.poly is not None and g.poly is not None and f.poly.terms == g.poly.terms
+    return f.func is g.func and f.fd_step == g.fd_step
+
+
 class SymEnd3Field:
     """Symmetric endomorphism field in an invariant orthonormal frame.
 
@@ -70,13 +78,14 @@ class SymEnd3Field:
     def __init__(self, entries, chirality: Chirality = Chirality.LEFT):
         """entries: 3x3 nested sequence of ScalarFields / numbers.
 
-        The lower triangle is replaced by the upper one, so the field is
-        symmetric by construction.
+        Each lower entry must equal its upper one (see `_same_entry`),
+        else ValueError; the field then stores the upper entry in both.
         """
         e = [[_coerce_entry(entries[i][j]) for j in range(3)] for i in range(3)]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                e[j][i] = e[i][j]
+        for i, j in _UPPER:
+            if not _same_entry(e[i][j], e[j][i]):
+                raise ValueError(f"entry ({j + 1},{i + 1}) differs from entry ({i + 1},{j + 1}): not symmetric")
+            e[j][i] = e[i][j]
         self.entries = e
         self.chirality = chirality
 
@@ -136,22 +145,21 @@ class SymEnd3Field:
         return sum(self.entries[i][i](pts) for i in range(3))
 
     # -- linear structure (for curves A + t Adot) ------------------------
-    def _binary(self, other, op):
-        if self.chirality is not other.chirality:
-            raise ValueError("chirality mismatch")
-        return SymEnd3Field(
-            [[op(self.entries[i][j], other.entries[i][j]) for j in range(3)] for i in range(3)],
-            self.chirality,
-        )
+    def _from_upper(self, fields) -> "SymEnd3Field":
+        """The field with the six given upper entries, mirrored; a
+        finite-difference entry is one object in both triangles."""
+        e = [[None] * 3 for _ in range(3)]
+        for (i, j), f in zip(_UPPER, fields):
+            e[i][j] = e[j][i] = f
+        return SymEnd3Field(e, self.chirality)
 
     def __add__(self, other: "SymEnd3Field") -> "SymEnd3Field":
-        return self._binary(other, lambda a, b: a + b)
+        if self.chirality is not other.chirality:
+            raise ValueError("chirality mismatch")
+        return self._from_upper(f + g for f, g in zip(self._upper_fields(), other._upper_fields()))
 
     def __mul__(self, scalar) -> "SymEnd3Field":
-        return SymEnd3Field(
-            [[self.entries[i][j] * scalar for j in range(3)] for i in range(3)],
-            self.chirality,
-        )
+        return self._from_upper(f * scalar for f in self._upper_fields())
 
     __rmul__ = __mul__
 
@@ -267,14 +275,9 @@ def _frame_directions(x, y, pair):
 
 def modified_connection(A: SymEnd3Field, points, a: int, b: int) -> np.ndarray:
     """nabla^A_{e_a} e_b = nabla_{e_a} e_b + (*A(e_a))(e_b), frame coefficients."""
-    M = A.matrix(points)
-    base = gamma_round(a, A.chirality)[:, b - 1]
-    ea = np.zeros(3)
-    ea[a - 1] = 1.0
-    eb = np.zeros(3)
-    eb[b - 1] = 1.0
-    acol = np.einsum("...ij,j->...i", M, ea)
-    return base + np.cross(acol, eb)
+    eb = np.eye(3)[b - 1]  # a constant field: its derivatives vanish
+    acol = np.einsum("...ij,j->...i", A.matrix(points), np.eye(3)[a - 1])
+    return cov_vector(eb, 0.0, a, A.chirality, acol)
 
 
 def flatness_residual(A: SymEnd3Field, points, x=None, y=None, pair=None) -> np.ndarray:
@@ -357,22 +360,15 @@ def linearized_residual(A: SymEnd3Field, Adot: SymEnd3Field, points, x=None, y=N
     M = A.matrix(pts)
     N, dNs = Adot.jet(pts)
     lam = structure_constant(A.chirality)
-
-    def deriv_of_image(k, vec):
-        # nabla^A_{e_k} of the coefficient field q -> Adot(q) vec
-        dN = dNs[k - 1]
-        ek = np.zeros(3)
-        ek[k - 1] = 1.0
-        GA = gamma_round(k, A.chirality) + hat(np.einsum("...ij,j->...i", M, ek))
-        w = np.einsum("...ij,j->...i", N, vec)
-        return np.einsum("...ij,j->...i", dN, vec) + np.einsum("...ij,...j->...i", GA, w)
-
+    Nx, Ny = (np.einsum("...ij,j->...i", N, vec) for vec in (x, y))
     out = np.zeros(N.shape[:-2] + (3,))
     for k in range(3):
+        # nabla^A_{e_k} of the coefficient fields q -> Adot(q) y and Adot(q) x
+        ak = np.einsum("...ij,j->...i", M, np.eye(3)[k])
         if x[k] != 0.0:
-            out = out + x[k] * deriv_of_image(k + 1, y)
+            out = out + x[k] * cov_vector(Ny, np.einsum("...ij,j->...i", dNs[k], y), k + 1, A.chirality, ak)
         if y[k] != 0.0:
-            out = out - y[k] * deriv_of_image(k + 1, x)
+            out = out - y[k] * cov_vector(Nx, np.einsum("...ij,j->...i", dNs[k], x), k + 1, A.chirality, ak)
     bracket = lam * np.cross(x, y)
     return out - np.einsum("...ij,j->...i", N, bracket)
 

@@ -24,7 +24,7 @@ import numpy as np
 from .cauchy import SymEnd3Field
 from .frame import Chirality, ScalarField, _as_array
 from .polynomial import Poly
-from .tensor import cov_matrix, gamma_round, hat
+from .tensor import cov_matrix, cov_vector, hat
 
 __all__ = [
     "constant_frame_residual",
@@ -139,18 +139,8 @@ class HopfReducedData:
     v: tuple  # two ScalarFields (coefficients along e_2, e_3)
     B: tuple  # 2x2 nested tuple of ScalarFields, symmetric
 
-    def f_values(self, pts):
-        return self.f(pts)
-
     def v_values(self, pts):
         return np.stack([c(pts) for c in self.v], axis=-1)
-
-    def B_values(self, pts):
-        out = np.zeros(pts.shape[:-1] + (2, 2))
-        for i in range(2):
-            for j in range(2):
-                out[..., i, j] = self.B[i][j](pts)
-        return out
 
 
 def hopf_reduce(A: SymEnd3Field, check_invariance: bool = True, seed: int = 321) -> HopfReducedData:
@@ -190,6 +180,11 @@ def _twist(m) -> np.ndarray:
     return np.stack([m[..., 1], -m[..., 0]], axis=-1)
 
 
+def _lift(x, rank: int) -> np.ndarray:
+    """A vector (rank 1) or endomorphism (rank 2) of xi-perp, extended by zero on xi."""
+    return np.pad(x, [(0, 0)] * (x.ndim - rank) + [(1, 0)] * rank)
+
+
 def hopf_reduction_residual(h: HopfReducedData, points) -> np.ndarray:
     """Magnitudes of the four reduced equations at each point: shape (...,4).
 
@@ -218,24 +213,16 @@ def hopf_reduction_residual(h: HopfReducedData, points) -> np.ndarray:
     Bp1 = B + _I2
     jv = np.einsum("ij,...j->...i", _J2, v)
 
-    # base derivatives along e_2, e_3 of v, Jv = -v3 e2 + v2 e3 and B J
-    vhat = np.zeros(shape + (3,))
-    vhat[..., 1:] = v
-    jvhat = np.zeros(shape + (3,))
-    jvhat[..., 1:] = np.stack([-v[..., 1], v[..., 0]], axis=-1)
-    djv = (-d2[..., 0, 2], d3[..., 0, 1])  # e_2 (Jv)_2, e_3 (Jv)_3
-    bj = np.zeros(shape + (3, 3))
-    bj[..., 1:, 1:] = _twist(B)
+    # v, Jv = -v3 e2 + v2 e3 and B J extended by zero on xi, differentiated along e_2, e_3
+    vh, jvh, bjh = _lift(v, 1), _lift(-_twist(v), 1), _lift(_twist(B), 2)
     Dv = np.zeros(shape + (2, 2))  # Dv[..., j, i] = <nabla-bar_{e_{i+2}} v, e_{j+2}>
     div_jv = np.zeros(shape)
     delta_bj = np.zeros(shape + (2,))  # -sum_i (nabla-bar_{e_i} BJ)(e_i)
     for i, dM in enumerate((d2, d3)):
-        G = gamma_round(i + 2, Chirality.LEFT)
-        Dv[..., :, i] = dM[..., 0, 1:] + np.einsum("ij,...j->...i", G, vhat)[..., 1:]
-        div_jv = div_jv + djv[i] + np.einsum("ij,...j->...i", G, jvhat)[..., i + 1]
-        dbj = np.zeros(shape + (3, 3))
-        dbj[..., 1:, 1:] = _twist(dM[..., 1:, 1:])
-        delta_bj = delta_bj - cov_matrix(bj, dbj, i + 2, Chirality.LEFT)[..., 1:, i + 1]
+        dv = dM[..., 0, 1:]
+        Dv[..., :, i] = cov_vector(vh, _lift(dv, 1), i + 2)[..., 1:]
+        div_jv = div_jv + cov_vector(jvh, _lift(-_twist(dv), 1), i + 2)[..., i + 1]
+        delta_bj = delta_bj - cov_matrix(bjh, _lift(_twist(dM[..., 1:, 1:]), 2), i + 2)[..., 1:, i + 1]
 
     df = np.stack([d2[..., 0, 0], d3[..., 0, 0]], axis=-1)
     r1 = np.einsum("...ij,...j->...i", Bp1, jv) - df
@@ -327,6 +314,7 @@ class S2EndField:
         self.mats = mats
         self.func = func
         self.fd_step = float(fd_step)
+        self._grads = None  # gradients of the polynomial entries, built on first use
 
     @classmethod
     def from_constant(cls, m) -> "S2EndField":
@@ -368,10 +356,12 @@ class S2EndField:
             proj = np.eye(3) - np.outer(p, p)
             dproj = -np.outer(x, p) - np.outer(p, x)
             M = self.raw(p)
+            if self._grads is None:
+                self._grads = [[entry.gradient() for entry in row] for row in self.mats]
             dM = np.zeros((3, 3))
             for i in range(3):
                 for j in range(3):
-                    g = self.mats[i][j].gradient()
+                    g = self._grads[i][j]
                     dM[i, j] = sum(g[m](p) * x[m] for m in range(3))
             return dproj @ M @ proj + proj @ dM @ proj + proj @ M @ dproj
         h = self.fd_step

@@ -205,10 +205,6 @@ class CylinderProfile:
     def __post_init__(self):
         self._order = np.argsort(self.t)
 
-    @property
-    def t_sorted(self):
-        return self.t[self._order]
-
     def state(self, i: int) -> CylinderState:
         return CylinderState(float(self.t[i]), float(self.a[i]), float(self.b[i]))
 

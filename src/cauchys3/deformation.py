@@ -17,7 +17,7 @@ import numpy as np
 
 from .cauchy import SymEnd3Field, VectorField3
 from .frame import Chirality, ScalarField, _as_array, harmonic_quadratic
-from .tensor import gamma_round, hat, structure_constant
+from .tensor import cov_vector, structure_constant
 
 __all__ = [
     "A0",
@@ -152,16 +152,6 @@ def lie_derivative_endo(A: SymEnd3Field, Z: VectorField3, points) -> np.ndarray:
     return out
 
 
-def _nabla_A0(vals, dX) -> np.ndarray:
-    """nabla^{A0} X from the jet of X: out[..., j, i] is the j-th
-    coefficient of nabla^{A0}_{e_i} X."""
-    out = np.zeros(vals.shape[:-1] + (3, 3))
-    for i in range(3):
-        gamma_mod = gamma_round(i + 1, Chirality.LEFT) + hat(A0_MATRIX[:, i])
-        out[..., :, i] = dX[i] + np.einsum("ij,...j->...i", gamma_mod, vals)
-    return out
-
-
 def nabla_A0_of_deformation(d: DeformVector, points) -> np.ndarray:
     """The full frame matrix of nabla^{A0} X for the deformation field X.
 
@@ -169,7 +159,8 @@ def nabla_A0_of_deformation(d: DeformVector, points) -> np.ndarray:
     matrix is symmetric with zero diagonal, zero (2,3)-entry, and
     constant entries (1,2) = -2 c3, (1,3) = 2 c2.
     """
-    return _nabla_A0(*deformation_field(d).jet(points))
+    vals, dX = deformation_field(d).jet(points)
+    return np.stack([cov_vector(vals, dX[i], i + 1, ak=A0_MATRIX[:, i]) for i in range(3)], axis=-1)
 
 
 def deformation_report(points, tol: float = 1e-10) -> dict:
@@ -189,12 +180,12 @@ def deformation_report(points, tol: float = 1e-10) -> dict:
     for d in basis:
         vals, dX = deformation_field(d).jet(pts)
         rows.append(vals.reshape(-1))
-        img = _nabla_A0(vals, dX)
+        img = np.stack([cov_vector(vals, dX[i], i + 1, ak=A0_MATRIX[:, i]) for i in range(3)], axis=-1)
         pred = -0.25 * (d.c2 * LIE_E2_A0 + d.c3 * LIE_E3_A0)
         pairing_err = max(pairing_err, float(np.max(np.abs(img - pred))))
         images.append(img.mean(axis=tuple(range(img.ndim - 2))).reshape(-1))
     sample_matrix = np.stack(rows)
-    svals = np.linalg.svd(sample_matrix, compute_uv=False)
+    svals = np.linalg.svd(sample_matrix.T, compute_uv=False)  # tall: same singular values
     solution_rank = int(np.sum(svals > tol * svals[0]))
 
     image_matrix = np.stack(images)

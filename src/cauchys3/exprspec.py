@@ -9,7 +9,8 @@ Accepted forms:
 where each entry E is a polynomial expression in the ambient
 coordinates a1..a4: numbers (decimal, with an optional exponent as in
 1e-3), + - *, unary minus, integer ^, and parentheses.  No general
-function calls.
+function calls.  An exponent above MAX_DEGREE, or a power or product
+of degree above it, is a ParseError, raised before it is expanded.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from .cauchy import KNOWN_KINDS, SymEnd3Field, known_example
 from .frame import Chirality, ScalarField
 from .polynomial import Poly
 
-__all__ = ["ParseError", "parse_field_spec", "parse_poly_expr"]
+__all__ = ["MAX_DEGREE", "ParseError", "parse_field_spec", "parse_poly_expr"]
+
+MAX_DEGREE = 16
 
 
 class ParseError(ValueError):
@@ -50,6 +53,11 @@ def _tokenize(text: str) -> list:
         pos = m.end()
     tokens.append(("end", None))
     return tokens
+
+
+def _check_degree(degree: int):
+    if degree > MAX_DEGREE:
+        raise ParseError(f"polynomial degree {degree} exceeds {MAX_DEGREE}")
 
 
 class _Parser:
@@ -82,7 +90,9 @@ class _Parser:
         out = self.factor()
         while self.peek() == ("op", "*"):
             self.next()
-            out = out * self.factor()
+            rhs = self.factor()
+            _check_degree(out.degree + rhs.degree)
+            out = out * rhs
         return out
 
     def factor(self) -> Poly:
@@ -95,8 +105,9 @@ class _Parser:
         if self.peek() == ("op", "^"):
             self.next()
             kind, val = self.next()
-            if kind != "num" or val != int(val):
-                raise ParseError("exponent must be a nonnegative integer")
+            if kind != "num" or val > MAX_DEGREE or val != int(val):
+                raise ParseError(f"exponent must be an integer from 0 to {MAX_DEGREE}")
+            _check_degree(base.degree * int(val))
             return base ** int(val)
         return base
 

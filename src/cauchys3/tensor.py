@@ -37,6 +37,7 @@ __all__ = [
     "gamma_berger_orthonormal",
     "curvature_berger",
     "cov_matrix",
+    "cov_vector",
     "divergence_from_jet",
     "d_nabla_A",
     "divergence_A",
@@ -97,14 +98,20 @@ def structure_constant(chirality: Chirality) -> float:
     return 2.0 if chirality is Chirality.LEFT else -2.0
 
 
+# _GAMMA_ROUND[chirality][a - 1][c, k] = (lambda / 2) eps_{a k c}, C-ordered:
+# a transposed view would send every matmul with it down a slower path
+_GAMMA_ROUND = {
+    chir: np.ascontiguousarray(0.5 * structure_constant(chir) * _EPS.transpose(0, 2, 1)) for chir in Chirality
+}
+for _table in _GAMMA_ROUND.values():
+    _table.flags.writeable = False
+
+
 def gamma_round(a: int, chirality: Chirality = Chirality.LEFT) -> np.ndarray:
-    """Matrix of nabla_{e_a} on the frame: column k holds nabla_{e_a} e_k."""
-    lam = structure_constant(chirality)
-    g = np.zeros((3, 3))
-    for k in range(3):
-        for c in range(3):
-            g[c, k] = 0.5 * lam * _EPS[a - 1, k, c]
-    return g
+    """Matrix of nabla_{e_a} on the frame: column k holds nabla_{e_a} e_k.
+
+    A read-only view into a table built once at import."""
+    return _GAMMA_ROUND[chirality][a - 1]
 
 
 def levi_civita_round(a: int, b: int, chirality: Chirality = Chirality.LEFT) -> np.ndarray:
@@ -163,17 +170,9 @@ def gamma_berger_orthonormal(p: BergerParams) -> list[np.ndarray]:
 
     gamma[i][:, k] = coefficients of nabla_{f_{i+1}} f_{k+1} in (f_1,f_2,f_3).
     """
-    scales = np.array([p.a, p.b, p.b])
-    gam = gamma_berger(p)
-    out = []
-    for i in range(3):
-        # nabla_{f_i} f_k = (1/(s_i s_k)) nabla_{e_i} e_k, re-expressed in f's
-        m = np.zeros((3, 3))
-        for k in range(3):
-            vec_e = gam[i][:, k] / (scales[i] * scales[k])
-            m[:, k] = vec_e * scales  # e_c = s_c f_c
-        out.append(m)
-    return out
+    s = np.array([p.a, p.b, p.b])
+    # nabla_{f_i} f_k = (1/(s_i s_k)) nabla_{e_i} e_k, re-expressed in f's (e_c = s_c f_c)
+    return list(np.stack(gamma_berger(p)) / (s[:, None, None] * s) * s[:, None])
 
 
 def curvature_berger(p: BergerParams, a: int, b: int) -> float:
@@ -233,6 +232,17 @@ def cov_matrix(M, dMk, k: int, chirality: Chirality = Chirality.LEFT) -> np.ndar
     matrix M of A and its entrywise e_k-derivative dMk (round metric)."""
     G = gamma_round(k, chirality)
     return dMk + G @ M - M @ G
+
+
+def cov_vector(w, dwk, k: int, chirality: Chirality = Chirality.LEFT, ak=None) -> np.ndarray:
+    """nabla_{e_k} W = dW_k + Gamma_k W for the round metric, from the frame
+    coefficients w of W and their e_k-derivatives dwk.  Given ak, the
+    coefficients of A(e_k), it is nabla^A_{e_k} W = nabla_{e_k} W + A(e_k) x W,
+    the modified connection nabla + *(A(.)).  Batched over leading axes."""
+    G = gamma_round(k, chirality)
+    if ak is not None:
+        G = G + hat(ak)
+    return dwk + np.einsum("...ij,...j->...i", G, w)
 
 
 def divergence_from_jet(M, dM, chirality: Chirality = Chirality.LEFT) -> np.ndarray:

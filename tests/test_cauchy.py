@@ -348,10 +348,37 @@ def test_symend_field_is_symmetric(pts500):
     q1 = harmonic_quadratic(1)
     zero = ScalarField.constant(0.0)
     A = SymEnd3Field(
-        [[q1, harmonic_quadratic(2), zero], [zero, q1, zero], [zero, zero, q1]]
+        [[q1, harmonic_quadratic(2), zero], [harmonic_quadratic(2), q1, zero], [zero, zero, q1]]
     )
     M = A.matrix(pts500[:40])
     assert np.max(np.abs(M - np.swapaxes(M, -1, -2))) == 0.0
+
+
+def test_symend_field_rejects_mismatched_lower_triangle(pts500):
+    q1, q2 = harmonic_quadratic(1), harmonic_quadratic(2)
+    f = ScalarField.from_callable(q1, fd_step=1e-5)
+    bad = [
+        [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+        [[q1, q2, 0.0], [0.0, q1, 0.0], [0.0, 0.0, q1]],
+        [[1.0, f, 0.0], [ScalarField.from_callable(lambda p: q1(p), fd_step=1e-5), 1.0, 0.0], [0.0, 0.0, 1.0]],
+        [[1.0, f, 0.0], [ScalarField.from_callable(q1, fd_step=1e-4), 1.0, 0.0], [0.0, 0.0, 1.0]],
+        [[1.0, q1, 0.0], [ScalarField.from_callable(q1), 1.0, 0.0], [0.0, 0.0, 1.0]],
+    ]
+    for entries in bad:
+        with pytest.raises(ValueError, match="not symmetric"):
+            SymEnd3Field(entries)
+    # equal by value, by terms, or by callable and step
+    same = [
+        [[1, 2, 3], [2.0, 5, 6], [3, 6, 9]],
+        [[q1, q2, 0.0], [q2 * 1.0, q1, 0.0], [ScalarField.constant(0.0), 0.0, q1]],
+        [[1.0, f, 0.0], [ScalarField.from_callable(q1, fd_step=1e-5), 1.0, 0.0], [0.0, 0.0, 1.0]],
+    ]
+    for entries in same:
+        M = SymEnd3Field(entries).matrix(pts500[:5])
+        assert np.array_equal(M, np.swapaxes(M, -1, -2))
+    # sums and multiples of finite-difference fields stay constructible
+    Afd = SymEnd3Field([[ScalarField.from_callable(q1), f, 0.0], [f, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    assert np.array_equal((Afd + 2.0 * Afd).matrix(pts500[:5]), 3.0 * Afd.matrix(pts500[:5]))
 
 
 def test_fd_mode_field_tolerance(pts500):
@@ -435,8 +462,8 @@ def test_fd_jet_shares_one_flow_pair_per_direction(pts500, monkeypatch):
     mixed = SymEnd3Field(
         [
             [ScalarField.from_callable(exact.entries[0][0], fd_step=1e-4), exact.entries[0][1], exact.entries[0][2]],
-            [0.0, ScalarField.from_callable(exact.entries[1][1], fd_step=1e-5), exact.entries[1][2]],
-            [0.0, 0.0, 2.0],
+            [exact.entries[0][1], ScalarField.from_callable(exact.entries[1][1], fd_step=1e-5), exact.entries[1][2]],
+            [exact.entries[0][2], exact.entries[1][2], 2.0],
         ]
     )
     pts = pts500[:40]

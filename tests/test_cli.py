@@ -237,6 +237,19 @@ def test_verify_overflowing_field_output_is_strict_json():
     assert doc["flatness_max"] == "NaN"
 
 
+@pytest.mark.parametrize("power", ["a1^1e9", "a1^1e400", "a1^17", "a1^9*a2^9"])
+def test_verify_degree_above_bound_exits_input(power, capsys):
+    code, out = run_cli(["--samples", "20", "verify", "--expr", f"diag({power},1,1)"])
+    assert code == EXIT_INPUT and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("verify: ") and "16" in err and "Traceback" not in err
+
+
+def test_verify_degree_at_bound_runs():
+    code, out = run_cli(["--samples", "20", "verify", "--expr", "diag(a1^16,1,1)"])
+    assert code == EXIT_TOLERANCE and json.loads(out)["pass"] is False
+
+
 def test_canonical_json_17_digits():
     txt = canonical_json({"x": 0.1})
     assert "0.10000000000000001" in txt

@@ -16,7 +16,7 @@ from cauchys3.deformation import (
     nabla_A0_of_deformation,
     round_laplacian,
 )
-from cauchys3.frame import Chirality, ScalarField, coordinate_field, harmonic_quadratic
+from cauchys3.frame import Chirality, ScalarField, coordinate_field, harmonic_quadratic, random_points
 
 
 def test_berger_laplacian_eigenvalue_8(pts200):
@@ -172,6 +172,13 @@ def test_deformation_report_dimensions(pts200):
     assert rep["image_span_dim"] == 2
     assert rep["span_membership_error"] < 1e-10
     assert rep["pairing_error"] < 1e-10
+
+
+def test_deformation_report_dimensions_at_2000_points():
+    # the sample matrix is (5, 6000); its rank comes from the tall transpose
+    rep = deformation_report(random_points(2000, seed=1))
+    assert rep["solution_space_dim"] == 5
+    assert rep["image_span_dim"] == 2
 
 
 def test_linearized_residual_of_image_fields(pts200):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cauchys3.exprspec import ParseError, parse_field_spec, parse_poly_expr
+from cauchys3.exprspec import MAX_DEGREE, ParseError, parse_field_spec, parse_poly_expr
 from cauchys3.frame import random_points
 
 
@@ -69,3 +69,19 @@ def test_field_spec_with_exponent_notation():
     pts = random_points(5, seed=2)
     A = parse_field_spec("diag(1e-3,1,1)")
     assert np.array_equal(A.matrix(pts), parse_field_spec("diag(0.001,1,1)").matrix(pts))
+
+
+@pytest.mark.parametrize("bad", ["a1^1e9", "a1^1e400", "a1^17", "a1^9*a2^9", "(a1^2)^9", "2^17"])
+def test_degree_above_bound_rejected_before_expansion(bad):
+    with pytest.raises(ParseError, match="exponent|degree"):
+        parse_poly_expr(bad)
+    with pytest.raises(ParseError):
+        parse_field_spec(f"diag({bad},1,1)")
+
+
+def test_degree_at_bound_accepted():
+    assert MAX_DEGREE == 16
+    pts = random_points(5, seed=4)
+    assert np.array_equal(parse_poly_expr("a1^16")(pts), parse_poly_expr("a1^8*a1^8")(pts))
+    assert parse_poly_expr("(a1 + a2)^16").degree == 16
+    assert parse_poly_expr("a1^8*a2^8").degree == 16
