@@ -21,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .cauchy import SymEnd3Field
+from .cauchy import SymEnd3Field, _coerce_entry, _same_entry
 from .frame import Chirality, ScalarField, _as_array
 from .polynomial import Poly
 from .tensor import cov_matrix, cov_vector, hat
@@ -138,6 +138,10 @@ class HopfReducedData:
     f: ScalarField
     v: tuple  # two ScalarFields (coefficients along e_2, e_3)
     B: tuple  # 2x2 nested tuple of ScalarFields, symmetric
+
+    def __post_init__(self):
+        if not _same_entry(_coerce_entry(self.B[1][0]), _coerce_entry(self.B[0][1])):
+            raise ValueError("B[1][0] differs from B[0][1]: B must be symmetric")
 
     def v_values(self, pts):
         return np.stack([c(pts) for c in self.v], axis=-1)

@@ -23,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
-from .tensor import BergerParams, curvature_berger, gamma_berger_orthonormal, wedge_endo
+from .tensor import BergerParams, _pow, curvature_berger, gamma_berger_orthonormal, wedge_endo
 
 __all__ = [
     "reduced_rhs",
@@ -55,19 +54,26 @@ __all__ = [
 S_MIN = 0.5
 
 
+def _rhs(a, b) -> tuple:
+    return -(a * a) / (b * b), a / b + 2.0
+
+
 def reduced_rhs(a: float, b: float) -> tuple:
     """(adot, bdot) = (-a^2/b^2, a/b + 2).  Requires a, b > 0."""
     if a <= 0 or b <= 0:
         raise ValueError("a and b must be positive")
-    return -(a * a) / (b * b), a / b + 2.0
+    return _rhs(a, b)
 
 
-def second_derivatives(a: float, b: float) -> tuple:
-    """(addot, bddot) from differentiating the reduced system analytically."""
-    ad, bd = reduced_rhs(a, b)
-    add = -2.0 * a * ad / b**2 + 2.0 * a**2 * bd / b**3
-    bdd = ad / b - a * bd / b**2
-    return add, bdd
+def second_derivatives(a, b) -> tuple:
+    """(addot, bddot) from differentiating the reduced system analytically.
+
+    Scalars or arrays of node values; requires a, b > 0."""
+    if np.any(np.less_equal(a, 0)) or np.any(np.less_equal(b, 0)):
+        raise ValueError("a and b must be positive")
+    ad, bd = _rhs(a, b)
+    b2 = _pow(b, 2)
+    return -2.0 * a * ad / b2 + 2.0 * _pow(a, 2) * bd / _pow(b, 3), ad / b - a * bd / b2
 
 
 def full_system_residual(a: float, b: float, adot: float, bdot: float) -> tuple:
@@ -94,16 +100,19 @@ def closed_form(s) -> tuple:
     return np.sqrt(s / (2 * s - 1)), np.sqrt(s * (2 * s - 1))
 
 
-def _dt_ds(s: float) -> float:
-    return np.sqrt((2 * s - 1) / (4 * s))
+def _t_antiderivative(s):
+    # (sqrt(s^2 - s/2) - arccosh(4s - 1)/4) / sqrt(2), with s^2 - s/2 as s (s - 1/2)
+    return (np.sqrt(s * (s - 0.5)) - 0.25 * np.arccosh(4.0 * s - 1.0)) / np.sqrt(2.0)
 
 
-def t_of_s(s: float) -> float:
-    """t(s) = integral_1^s sqrt((2u-1)/(4u)) du (so t(1) = 0), by quadrature."""
-    if s <= S_MIN:
+def t_of_s(s):
+    """t(s) = integral_1^s sqrt((2u-1)/(4u)) du (so t(1) = 0), in closed form.
+    A scalar gives a float, an array an array; every s must exceed 1/2."""
+    s = np.asarray(s, dtype=float)
+    if np.any(s <= S_MIN):
         raise ValueError("t_of_s requires s > 1/2")
-    val, _ = quad(_dt_ds, 1.0, s, epsabs=1e-14, epsrel=1e-13, limit=200)
-    return val
+    t = _t_antiderivative(s) - _t_antiderivative(1.0)
+    return float(t) if t.ndim == 0 else t
 
 
 def boundary_distance_exact() -> float:
@@ -113,8 +122,10 @@ def boundary_distance_exact() -> float:
 
 
 def boundary_distance_quadrature() -> float:
-    """integral_{1/2}^1 sqrt((2s-1)/(4s)) ds by adaptive quadrature."""
-    val, _ = quad(_dt_ds, 0.5, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200)
+    """integral_{1/2}^1 sqrt((2s-1)/(4s)) ds by adaptive quadrature (needs scipy)."""
+    from scipy.integrate import quad
+
+    val, _ = quad(lambda s: np.sqrt((2 * s - 1) / (4 * s)), 0.5, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200)
     return val
 
 
@@ -215,12 +226,9 @@ class CylinderProfile:
         if np.any(tq < ts[0] - 1e-12) or np.any(tq > ts[-1] + 1e-12):
             raise ValueError("query time outside the integrated range")
         idx = np.clip(np.searchsorted(ts, tq) - 1, 0, len(ts) - 2)
-        second = np.array([second_derivatives(a, b) for a, b in zip(self.a, self.b)])
+        add, bdd = second_derivatives(self.a, self.b)
         out = []
-        for comp, dcomp, ddcomp in (
-            (self.a, self.adot, second[:, 0]),
-            (self.b, self.bdot, second[:, 1]),
-        ):
+        for comp, dcomp, ddcomp in ((self.a, self.adot, add), (self.b, self.bdot, bdd)):
             y = comp[self._order]
             dy = dcomp[self._order]
             ddy = ddcomp[self._order]
@@ -355,12 +363,15 @@ def integrate(
     return profile
 
 
-def weingarten(a: float, b: float, adot: float, bdot: float) -> np.ndarray:
-    """Shape operator of a slice: diag(-adot/a, -bdot/b, -bdot/b)."""
-    return np.diag([-adot / a, -bdot / b, -bdot / b])
+def weingarten(a, b, adot, bdot) -> np.ndarray:
+    """Shape operator of a slice: diag(-adot/a, -bdot/b, -bdot/b), shape (..., 3, 3)."""
+    w1, w2 = np.broadcast_arrays(-adot / a, -bdot / b)
+    out = np.zeros(w1.shape + (3, 3))
+    out[..., 0, 0], out[..., 1, 1], out[..., 2, 2] = w1, w2, w2
+    return out
 
 
-def slice_residual(a: float, b: float, adot: float, bdot: float, pair=None) -> np.ndarray:
+def slice_residual(a, b, adot, bdot, pair=None) -> np.ndarray:
     """Flatness residual of the slice, in the g_t-orthonormal frame.
 
     For a frame pair (i, j) returns the dual 3-vector of
@@ -369,20 +380,19 @@ def slice_residual(a: float, b: float, adot: float, bdot: float, pair=None) -> n
 
     where (f_1,f_2,f_3) = (e_1/a, e_2/b, e_3/b) and A_t is the
     Weingarten map.  Without `pair`, the three pair residuals are
-    stacked into shape (3, 3).  All vanish on reduced-system states.
+    stacked into shape (..., 3, 3).  Scalars or arrays of node values.
+    All vanish on reduced-system states.
     """
     p = BergerParams(a, b)
     W = weingarten(a, b, adot, bdot)  # diagonal in both frames
     gammas = gamma_berger_orthonormal(p)
+    fs = np.eye(3)
 
     def one(i, j):
-        fi = np.zeros(3)
-        fi[i - 1] = 1.0
-        fj = np.zeros(3)
-        fj[j - 1] = 1.0
+        fi, fj = fs[i - 1], fs[j - 1]
         # the tabulated curvature coefficient transfers unchanged to the
         # orthonormal wedge basis: R^t(f_i,f_j) = coef * f_i ^ f_j
-        curv = curvature_berger(p, i, j) * wedge_endo(fi, fj)
+        curv = np.multiply.outer(curvature_berger(p, i, j), wedge_endo(fi, fj))
         # W is constant on the slice: (nabla_f W)(g) = [Gamma_f, W] g
         gi, gj = gammas[i - 1], gammas[j - 1]
         dW = (gi @ W - W @ gi) @ fj - (gj @ W - W @ gj) @ fi
@@ -390,7 +400,7 @@ def slice_residual(a: float, b: float, adot: float, bdot: float, pair=None) -> n
 
     if pair is not None:
         return one(*pair)
-    return np.stack([one(1, 2), one(1, 3), one(2, 3)])
+    return np.stack([one(1, 2), one(1, 3), one(2, 3)], axis=-2)
 
 
 def metric_4d(s: float, r: float = 1.0) -> tuple:
@@ -438,8 +448,8 @@ def taub_nut_coeffs(a_param: float, b_param: float, s: float) -> tuple:
     return c0, c1, c2, c2
 
 
-def ricci_4d(a: float, b: float, adot: float, bdot: float, addot: float, bddot: float) -> np.ndarray:
-    """Ricci tensor of dt^2 + a^2 eta_1^2 + b^2(eta_2^2 + eta_3^2).
+def ricci_4d(a, b, adot, bdot, addot, bddot) -> np.ndarray:
+    """Ricci tensor of dt^2 + a^2 eta_1^2 + b^2(eta_2^2 + eta_3^2), shape (..., 4, 4).
 
     Components in the orthonormal coframe (dt, a eta_1, b eta_2,
     b eta_3); diagonal:
@@ -448,24 +458,25 @@ def ricci_4d(a: float, b: float, adot: float, bdot: float, addot: float, bddot: 
       R11 = -addot/a - 2 adot bdot/(a b) + 2 a^2/b^4
       R22 = R33 = -bddot/b - (bdot/b)^2 - adot bdot/(a b) + 4/b^2 - 2 a^2/b^4
     """
+    a2, b4 = _pow(a, 2), _pow(b, 4)
     r00 = -addot / a - 2 * bddot / b
-    r11 = -addot / a - 2 * adot * bdot / (a * b) + 2 * a**2 / b**4
-    r22 = -bddot / b - (bdot / b) ** 2 - adot * bdot / (a * b) + 4 / b**2 - 2 * a**2 / b**4
-    return np.diag([r00, r11, r22, r22])
+    r11 = -addot / a - 2 * adot * bdot / (a * b) + 2 * a2 / b4
+    r22 = -bddot / b - _pow(bdot / b, 2) - adot * bdot / (a * b) + 4 / _pow(b, 2) - 2 * a2 / b4
+    diagonal = np.stack(np.broadcast_arrays(r00, r11, r22, r22), axis=-1)
+    out = np.zeros(diagonal.shape + (4,))
+    out[..., range(4), range(4)] = diagonal
+    return out
 
 
 def ricci_4d_state(a: float, b: float) -> np.ndarray:
-    """Ricci at a reduced-system state: derivatives from the system itself."""
-    ad, bd = reduced_rhs(a, b)
+    """Ricci at reduced-system states: derivatives from the system itself."""
     add, bdd = second_derivatives(a, b)
-    return ricci_4d(a, b, ad, bd, add, bdd)
+    return ricci_4d(a, b, *_rhs(a, b), add, bdd)
 
 
-def sectional_curvatures(
-    a: float, b: float, adot: float, bdot: float, addot: float, bddot: float
-) -> np.ndarray:
+def sectional_curvatures(a, b, adot, bdot, addot, bddot) -> np.ndarray:
     """Sectional curvatures of the six frame planes, order
-    (01, 02, 03, 12, 13, 23) in the orthonormal frame.
+    (01, 02, 03, 12, 13, 23) in the orthonormal frame, shape (..., 6).
 
       K01 = -addot/a,  K02 = K03 = -bddot/b,
       K12 = K13 = a^2/b^4 - adot bdot/(a b),
@@ -473,20 +484,16 @@ def sectional_curvatures(
     """
     k01 = -addot / a
     k02 = -bddot / b
-    k12 = a**2 / b**4 - adot * bdot / (a * b)
-    k23 = 4 / b**2 - 3 * a**2 / b**4 - (bdot / b) ** 2
-    return np.array([k01, k02, k02, k12, k12, k23])
+    a2, b4 = _pow(a, 2), _pow(b, 4)
+    k12 = a2 / b4 - adot * bdot / (a * b)
+    k23 = 4 / _pow(b, 2) - 3 * a2 / b4 - _pow(bdot / b, 2)
+    return np.stack(np.broadcast_arrays(k01, k02, k02, k12, k12, k23), axis=-1)
 
 
 def curvature_blowup_probe(s_values) -> np.ndarray:
     """Max |sectional curvature| over frame planes at each s (closed form)."""
-    out = []
-    for s in np.asarray(s_values, dtype=float):
-        a, b = closed_form(s)
-        ad, bd = reduced_rhs(a, b)
-        add, bdd = second_derivatives(a, b)
-        out.append(float(np.max(np.abs(sectional_curvatures(a, b, ad, bd, add, bdd)))))
-    return np.array(out)
+    a, b = closed_form(np.asarray(s_values, dtype=float))
+    return np.max(np.abs(sectional_curvatures(a, b, *_rhs(a, b), *second_derivatives(a, b))), axis=-1)
 
 
 def trajectory_rows(profile: CylinderProfile) -> list:
@@ -498,27 +505,15 @@ def trajectory_rows(profile: CylinderProfile) -> list:
     huge cancelling terms, so scale-relative columns (residual divided
     by 1 + max |sectional|) are exported alongside the absolute ones.
     """
-    rows = []
-    for i in np.argsort(profile.t):
-        a, b = float(profile.a[i]), float(profile.b[i])
-        ad, bd = float(profile.adot[i]), float(profile.bdot[i])
-        add, bdd = second_derivatives(a, b)
-        res = float(np.max(np.abs(slice_residual(a, b, ad, bd))))
-        ric = float(np.linalg.norm(ricci_4d(a, b, ad, bd, add, bdd)))
-        scale = 1.0 + float(np.max(np.abs(sectional_curvatures(a, b, ad, bd, add, bdd))))
-        rows.append(
-            {
-                "t": float(profile.t[i]),
-                "s": a * b,
-                "a": a,
-                "b": b,
-                "adot": ad,
-                "bdot": bd,
-                "conserved": conserved_quantity(a, b),
-                "slice_residual_max": res,
-                "ricci_norm": ric,
-                "slice_residual_rel": res / scale,
-                "ricci_norm_rel": ric / scale,
-            }
-        )
-    return rows
+    order = np.argsort(profile.t)
+    t, a, b, ad, bd = (v[order] for v in (profile.t, profile.a, profile.b, profile.adot, profile.bdot))
+    add, bdd = second_derivatives(a, b)
+    res = np.max(np.abs(slice_residual(a, b, ad, bd)), axis=(-2, -1))
+    # one np.linalg.norm per node: its BLAS dot sums the squares in an order
+    # of its own, which a batched sum does not reproduce bit for bit
+    ric = np.array([np.linalg.norm(m) for m in ricci_4d(a, b, ad, bd, add, bdd)])
+    scale = 1.0 + np.max(np.abs(sectional_curvatures(a, b, ad, bd, add, bdd)), axis=-1)
+    names = ("t", "s", "a", "b", "adot", "bdot", "conserved", "slice_residual_max", "ricci_norm")
+    names += ("slice_residual_rel", "ricci_norm_rel")
+    columns = (t, a * b, a, b, ad, bd, conserved_quantity(a, b), res, ric, res / scale, ric / scale)
+    return [dict(zip(names, row)) for row in zip(*(c.tolist() for c in columns))]

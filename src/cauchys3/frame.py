@@ -250,10 +250,6 @@ class ScalarField:
 
     # -- constructors -------------------------------------------------
     @classmethod
-    def from_polynomial(cls, poly: Poly) -> "ScalarField":
-        return cls(poly=poly)
-
-    @classmethod
     def from_callable(cls, func, fd_step: float = 1e-5) -> "ScalarField":
         return cls(func=func, fd_step=fd_step)
 

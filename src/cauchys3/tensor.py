@@ -16,6 +16,7 @@ The star is the identity on storage; `hat`/`unhat` convert between the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -110,7 +111,9 @@ for _table in _GAMMA_ROUND.values():
 def gamma_round(a: int, chirality: Chirality = Chirality.LEFT) -> np.ndarray:
     """Matrix of nabla_{e_a} on the frame: column k holds nabla_{e_a} e_k.
 
-    A read-only view into a table built once at import."""
+    A read-only view into a table built once at import; a must be 1, 2 or 3."""
+    if a not in (1, 2, 3):
+        raise ValueError(f"frame index must be 1, 2 or 3, got {a!r}")
     return _GAMMA_ROUND[chirality][a - 1]
 
 
@@ -120,6 +123,8 @@ def levi_civita_round(a: int, b: int, chirality: Chirality = Chirality.LEFT) -> 
     Left frame: nabla_{e_1} e_2 = e_3, nabla_{e_2} e_1 = -e_3, diagonal
     entries zero, and cyclic images thereof.
     """
+    if b not in (1, 2, 3):
+        raise ValueError(f"frame index must be 1, 2 or 3, got {b!r}")
     return gamma_round(a, chirality)[:, b - 1].copy()
 
 
@@ -130,63 +135,72 @@ def curvature_round(x, y) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BergerParams:
-    """Scales of the Berger metric a^2 e_1^2 + b^2 (e_2^2 + e_3^2)."""
+    """Scales of the Berger metric a^2 e_1^2 + b^2 (e_2^2 + e_3^2): scalars, or arrays (one per node)."""
 
     a: float
     b: float
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
+        if np.any(np.less_equal(self.a, 0)) or np.any(np.less_equal(self.b, 0)):
             raise ValueError("Berger parameters must be positive")
+
+
+def _pow(x, k: int):
+    """x**k by the C library's pow, element by element, as Python's float ** does: numpy's
+    array power and square round some inputs otherwise, and batched formulas keep their bits."""
+    if not isinstance(x, np.ndarray):
+        return x**k
+    return np.fromiter(map(pow, x.ravel().tolist(), repeat(float(k))), float, x.size).reshape(x.shape)
 
 
 def gamma_berger(p: BergerParams) -> list[np.ndarray]:
     """Connection matrices of the Berger metric in the Hopf frame.
 
-    gamma[a][:, k] holds the (e_1,e_2,e_3)-coefficients of
+    gamma[a][..., :, k] holds the (e_1,e_2,e_3)-coefficients of
     nabla^t_{e_{a+1}} e_{k+1}; the left-invariant bracket table is
     assumed (the Hopf frame is left-invariant).
     """
-    r = p.a**2 / p.b**2
-    g1 = np.zeros((3, 3))
-    g1[2, 1] = 2.0 - r  # nabla_{e1} e2 = (2 - a^2/b^2) e3
-    g1[1, 2] = r - 2.0
-    g2 = np.zeros((3, 3))
-    g2[2, 0] = -r  # nabla_{e2} e1 = -(a^2/b^2) e3
-    g2[0, 2] = 1.0
-    g3 = np.zeros((3, 3))
-    g3[1, 0] = r
-    g3[0, 1] = -1.0
+    r = _pow(p.a, 2) / _pow(p.b, 2)
+    g1, g2, g3 = np.zeros((3,) + np.shape(r) + (3, 3))
+    g1[..., 2, 1] = 2.0 - r  # nabla_{e1} e2 = (2 - a^2/b^2) e3
+    g1[..., 1, 2] = r - 2.0
+    g2[..., 2, 0] = -r  # nabla_{e2} e1 = -(a^2/b^2) e3
+    g2[..., 0, 2] = 1.0
+    g3[..., 1, 0] = r
+    g3[..., 0, 1] = -1.0
     return [g1, g2, g3]
 
 
 def levi_civita_berger(p: BergerParams, a: int, b: int) -> np.ndarray:
     """nabla^t_{e_a} e_b in the Hopf frame (unnormalized e_2, e_3)."""
+    if a not in (1, 2, 3) or b not in (1, 2, 3):
+        raise ValueError(f"frame index must be 1, 2 or 3, got {(a, b)}")
     return gamma_berger(p)[a - 1][:, b - 1].copy()
 
 
 def gamma_berger_orthonormal(p: BergerParams) -> list[np.ndarray]:
     """Connection matrices in the g_t-orthonormal frame (e_1/a, e_2/b, e_3/b).
 
-    gamma[i][:, k] = coefficients of nabla_{f_{i+1}} f_{k+1} in (f_1,f_2,f_3).
+    gamma[i][..., :, k] = coefficients of nabla_{f_{i+1}} f_{k+1} in (f_1,f_2,f_3).
     """
-    s = np.array([p.a, p.b, p.b])
+    s = np.stack(np.broadcast_arrays(p.a, p.b, p.b), axis=-1)[..., None, None, :]
     # nabla_{f_i} f_k = (1/(s_i s_k)) nabla_{e_i} e_k, re-expressed in f's (e_c = s_c f_c)
-    return list(np.stack(gamma_berger(p)) / (s[:, None, None] * s) * s[:, None])
+    g = np.stack(gamma_berger(p), axis=-3) / (np.swapaxes(s, -1, -3) * s) * np.swapaxes(s, -1, -2)
+    return [g[..., i, :, :] for i in range(3)]
 
 
-def curvature_berger(p: BergerParams, a: int, b: int) -> float:
+def curvature_berger(p: BergerParams, a: int, b: int):
     """Coefficient of R^t(e_a, e_b) on the wedge basis element e_a ^ e_b.
 
     The printed values: R^t(e_1,e_2) = -(a^2/b^4) e_1^e_2 (same for
     (1,3)) and R^t(e_2,e_3) = ((3a^2-4b^2)/b^4) e_2^e_3, indices raised
-    with g_t.  Only frame pairs are supported.
+    with g_t.  Only frame pairs are supported; array scales give an array.
     """
     pair = tuple(sorted((a, b)))
     if pair == (1, 2) or pair == (1, 3):
-        return -p.a**2 / p.b**4
+        return -_pow(p.a, 2) / _pow(p.b, 4)
     if pair == (2, 3):
-        return (3.0 * p.a**2 - 4.0 * p.b**2) / p.b**4
+        return (3.0 * _pow(p.a, 2) - 4.0 * _pow(p.b, 2)) / _pow(p.b, 4)
     raise ValueError("expected a frame pair from {1,2,3}")
 
 

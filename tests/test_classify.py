@@ -274,6 +274,31 @@ def test_special_case_rejects_asymmetric_block(pts50):
         special_case_residual(1.0, np.array([[1.0, 0.5], [0.0, 1.0]]), pts50)
 
 
+def test_special_case_rejects_asymmetric_field_block(pts50):
+    f = coordinate_field(2)
+    with pytest.raises(ValueError, match="B must be symmetric"):
+        special_case_residual(f, [[f, coordinate_field(1)], [ScalarField.constant(5.0), f]], pts50)
+    with pytest.raises(ValueError, match="B must be symmetric"):
+        special_case_residual(f, [[f, coordinate_field(1)], [coordinate_field(3), f]], pts50)
+    # an equal lower entry, as the same field or as equal terms, is accepted
+    a1 = coordinate_field(1)
+    same = special_case_residual(f, [[f, a1], [a1, f]], pts50)
+    assert np.array_equal(same, special_case_residual(f, [[f, a1], [coordinate_field(1), f]], pts50))
+
+
+def test_hopf_data_rejects_asymmetric_block():
+    zero = ScalarField.constant(0.0)
+    with pytest.raises(ValueError, match="B must be symmetric"):
+        HopfReducedData(f=zero, v=(zero, zero), B=((zero, coordinate_field(1)), (zero, zero)))
+    with pytest.raises(ValueError, match="B must be symmetric"):
+        HopfReducedData(f=zero, v=(zero, zero), B=((zero, 0.5), (0.0, zero)))
+    fd = ScalarField.from_callable(lambda p: p[..., 0])
+    with pytest.raises(ValueError, match="B must be symmetric"):
+        HopfReducedData(f=zero, v=(zero, zero), B=((zero, fd), (ScalarField.from_callable(lambda p: p[..., 0]), zero)))
+    HopfReducedData(f=zero, v=(zero, zero), B=((zero, fd), (fd, zero)))
+    HopfReducedData(f=zero, v=(zero, zero), B=((zero, 0.5), (0.5, zero)))
+
+
 def test_hopf_reduce_rejects_noninvariant_fields():
     a1 = coordinate_field(1)
     zero = ScalarField.constant(0.0)

@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,3 +258,45 @@ def test_canonical_json_17_digits():
     txt = canonical_json({"x": 0.1})
     assert "0.10000000000000001" in txt
     assert canonical_json({"n": 3}) == '{\n  "n": 3\n}'
+
+
+# the nine invocations of the README's command list
+README_INVOCATIONS = [
+    ["verify", "--builtin", "left-133"],
+    ["verify", "--expr", "diag(2,2,2)"],
+    ["verify", "--expr", "sym(a1, 0, 0, a2, 0, a3)"],
+    ["classify", "--grid-oracle"],
+    ["deform"],
+    ["cylinder", "--t", "0..3"],
+    ["cylinder", "--to-singularity"],
+    ["cylinder", "--s", "0.51..0.9", "--probe-curvature"],
+    ["rigidity"],
+]
+
+_NO_SCIPY_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+from cauchys3.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_readme_invocations_never_import_scipy():
+    # a fresh interpreter, so that no other test has imported scipy first
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_PROBE, json.dumps(README_INVOCATIONS)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["codes"] == [EXIT_PASS, EXIT_TOLERANCE, EXIT_TOLERANCE] + [EXIT_PASS] * 6
+    assert report["scipy"] == []

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from cauchys3 import cylinder as cyl
 from cauchys3.cauchy import known_example
@@ -94,8 +95,11 @@ def test_closed_antiderivative_matches_quadrature():
             s * np.sqrt(1 - 1 / (2 * s)) - 0.25 * np.log(4 * s - 1 + np.sqrt(16 * s**2 - 8 * s))
         )
 
+    dt_ds = lambda u: np.sqrt((2 * u - 1) / (4 * u))
     for s in (0.7, 1.3, 2.0, 6.0):
-        assert abs((F(s) - F(1.0)) - cyl.t_of_s(s)) < 1e-10
+        by_quadrature, _ = quad(dt_ds, 1.0, s, epsabs=1e-14, epsrel=1e-13, limit=200)
+        assert abs((F(s) - F(1.0)) - by_quadrature) < 1e-10
+        assert abs(cyl.t_of_s(s) - by_quadrature) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,22 @@ def test_hodge_star_identities(rng):
     assert np.allclose(unhat(hat(v)), v)
 
 
+@pytest.mark.parametrize("bad", [0, 4, -1])
+def test_frame_index_outside_one_to_three_is_rejected(bad):
+    for chir in Chirality:
+        with pytest.raises(ValueError, match="frame index"):
+            gamma_round(bad, chir)
+        with pytest.raises(ValueError, match="frame index"):
+            levi_civita_round(bad, 1, chir)
+        with pytest.raises(ValueError, match="frame index"):
+            levi_civita_round(2, bad, chir)
+    for a, b in ((bad, 1), (2, bad)):
+        with pytest.raises(ValueError, match="frame index"):
+            levi_civita_berger(BergerParams(1.0, 2.0), a, b)
+    for a in (1, 2, 3):
+        assert gamma_round(a).shape == (3, 3)
+
+
 def test_levi_civita_round_table():
     assert np.allclose(levi_civita_round(1, 2), E3)
     assert np.allclose(levi_civita_round(2, 2), 0)
