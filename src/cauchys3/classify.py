@@ -23,7 +23,7 @@ import numpy as np
 
 from .cauchy import SymEnd3Field, _coerce_entry, _same_entry
 from .frame import Chirality, ScalarField, _as_array
-from .polynomial import Poly
+from .polynomial import Poly, evaluate
 from .tensor import cov_matrix, cov_vector, hat
 
 __all__ = [
@@ -142,9 +142,6 @@ class HopfReducedData:
     def __post_init__(self):
         if not _same_entry(_coerce_entry(self.B[1][0]), _coerce_entry(self.B[0][1])):
             raise ValueError("B[1][0] differs from B[0][1]: B must be symmetric")
-
-    def v_values(self, pts):
-        return np.stack([c(pts) for c in self.v], axis=-1)
 
 
 def hopf_reduce(A: SymEnd3Field, check_invariance: bool = True, seed: int = 321) -> HopfReducedData:
@@ -288,18 +285,83 @@ def random_s2_points(n: int, seed: int = 0) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
+# Every function below takes points of shape (..., 3) and gives each
+# point, at any batch shape, the bits it gives alone.  Each product keeps
+# the operand shapes of its one-point form, so a stacked matmul reaches
+# the same BLAS kernel: (3,3)@(3,1) is gemv, (1,3)@(3,3) gemv, (1,3)@(3,1)
+# dot and (3,3)@(3,3) gemm.
+
+
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
+def _mv(A, v):
+    return (A @ v[..., None])[..., 0]
+
+
+def _dot(a, b):
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _cross(a, b):
+    """a x b by np.cross's products and differences, at less call overhead."""
+    i, j = [1, 2, 0], [2, 0, 1]
+    return a[..., i] * b[..., j] - a[..., j] * b[..., i]
+
+
 def tangent_basis(p) -> tuple:
     """A deterministic orthonormal tangent pair (X, JX) at p, JX = p x X."""
     p = np.asarray(p, dtype=float)
-    helper = np.zeros(3)
-    helper[int(np.argmin(np.abs(p)))] = 1.0
-    x = np.cross(p, helper)
-    x = x / np.linalg.norm(x)
-    return x, np.cross(p, x)
+    x = _cross(p, np.eye(3)[np.argmin(np.abs(p), axis=-1)])
+    x = x / np.sqrt(_dot(x, x))[..., None]
+    return x, _cross(p, x)
 
 
 def _normalize(p):
     return p / np.linalg.norm(p, axis=-1, keepdims=True)
+
+
+def _project(p, M):
+    """P M P with P = I - p p^T."""
+    proj = np.eye(3) - _outer(p, p)
+    return proj @ M @ proj
+
+
+def _directional(p, x, M, dM) -> np.ndarray:
+    """Ambient derivative of P M P along x, given M and D_x M at p.
+
+    d/dt [P M P](c(t)) = (D_x P) M P + P (D_x M) P + P M (D_x P); the
+    curve t -> normalize(p + t x) has velocity x at t = 0 for tangent x.
+    """
+    proj = np.eye(3) - _outer(p, p)
+    dproj = -_outer(x, p) - _outer(p, x)
+    return dproj @ M @ proj + proj @ dM @ proj + proj @ M @ dproj
+
+
+def _exact_local(p, dirs, M, Mn, dMs) -> tuple:
+    """Tangential value at p and its derivatives along dirs, from M at p,
+    M at normalize(p) and the derivatives D_x M along dirs."""
+    return _project(_normalize(p), Mn), [_directional(p, x, M, dM) for x, dM in zip(dirs, dMs)]
+
+
+def _fd_points(p, dirs, h) -> np.ndarray:
+    """normalize(p +- h x) for each x in dirs, then p: (..., 2 len(dirs) + 1, 3)."""
+    shifted = [_normalize(q) for x in dirs for q in (p + h * x, p - h * x)]
+    return np.stack(shifted + [p], axis=-2)
+
+
+def _fd_local(values, h) -> tuple:
+    """Value at p and central differences, from the values at `_fd_points`."""
+    steps = range(0, values.shape[-3] - 1, 2)
+    diffs = [(values[..., k, :, :] - values[..., k + 1, :, :]) / (2.0 * h) for k in steps]
+    return values[..., -1, :, :], diffs
+
+
+def _evaluate(polys, p) -> np.ndarray:
+    """polys at p (..., 3) as (..., len(polys)).  Each point is a batch of
+    one, so it reduces its terms as a lone point does (see `polynomial`)."""
+    return np.stack(evaluate(polys, p[..., None, :]), axis=-1)[..., 0, :]
 
 
 class S2EndField:
@@ -309,7 +371,9 @@ class S2EndField:
     annihilates the normal and maps into the tangent plane.  M is a 3x3
     array of polynomials (exact mode) or a callable p -> (...,3,3)
     (finite-difference mode, projected ambient central differences of
-    step fd_step along normalized curves).
+    step fd_step along normalized curves).  Exact mode evaluates its 9
+    entries and 27 gradient entries with one `polynomial.evaluate` call
+    per point batch.
     """
 
     def __init__(self, mats: "list | None" = None, func=None, fd_step: float = 1e-5):
@@ -318,6 +382,7 @@ class S2EndField:
         self.mats = mats
         self.func = func
         self.fd_step = float(fd_step)
+        self._entries = None if mats is None else [e for row in mats for e in row]
         self._grads = None  # gradients of the polynomial entries, built on first use
 
     @classmethod
@@ -331,74 +396,56 @@ class S2EndField:
 
     def raw(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        if self.mats is not None:
-            out = np.zeros(p.shape[:-1] + (3, 3))
-            for i in range(3):
-                for j in range(3):
-                    out[..., i, j] = self.mats[i][j](p)
-            return out
-        return np.asarray(self.func(p), dtype=float)
+        if self.mats is None:
+            return np.asarray(self.func(p), dtype=float)
+        return _evaluate(self._entries, p).reshape(p.shape[:-1] + (3, 3))
 
     def value(self, p) -> np.ndarray:
         """Tangential value P M P at p (p need not be exactly unit)."""
         p = _normalize(np.asarray(p, dtype=float))
-        proj = np.eye(3) - np.einsum("...i,...j->...ij", p, p)
-        return proj @ self.raw(p) @ proj
+        return _project(p, self.raw(p))
 
-    def _directional(self, p, x) -> np.ndarray:
-        """Ambient directional derivative of the tangential value along x.
+    def _jet(self, p, dirs) -> tuple:
+        """M at p, M at normalize(p) and D_x M at p for x in dirs (exact mode)."""
+        if self._grads is None:
+            self._grads = [g for e in self._entries for g in e.gradient()]
+        vals = _evaluate(self._entries + self._grads, np.stack([p, _normalize(p)], axis=-2))
+        M = vals[..., :9].reshape(p.shape[:-1] + (2, 3, 3))
+        G = vals[..., 0, 9:].reshape(p.shape[:-1] + (3, 3, 3))
+        # ((0 + G_0 x_0) + G_1 x_1) + G_2 x_2, the order of the one-point sum
+        dMs = [sum(G[..., m] * x[..., m, None, None] for m in range(3)) for x in dirs]
+        return M[..., 0, :, :], M[..., 1, :, :], dMs
 
-        Exact mode: gradient of the polynomial entries of P M P along
-        the great-circle direction (the curve t -> normalize(p + t x)
-        has velocity x at t = 0 for tangent x).  FD mode: central
-        differences along that curve.
-        """
-        p = np.asarray(p, dtype=float)
-        x = np.asarray(x, dtype=float)
+    def _local(self, p, dirs) -> tuple:
+        """Tangential value at p and its ambient derivatives along each of dirs."""
         if self.mats is not None:
-            # d/dt [P M P](c(t)) = (D_x P) M P + P (D_x M) P + P M (D_x P)
-            proj = np.eye(3) - np.outer(p, p)
-            dproj = -np.outer(x, p) - np.outer(p, x)
-            M = self.raw(p)
-            if self._grads is None:
-                self._grads = [[entry.gradient() for entry in row] for row in self.mats]
-            dM = np.zeros((3, 3))
-            for i in range(3):
-                for j in range(3):
-                    g = self._grads[i][j]
-                    dM[i, j] = sum(g[m](p) * x[m] for m in range(3))
-            return dproj @ M @ proj + proj @ dM @ proj + proj @ M @ dproj
-        h = self.fd_step
-        plus = self.value(_normalize(p + h * x))
-        minus = self.value(_normalize(p - h * x))
-        return (plus - minus) / (2.0 * h)
+            return _exact_local(p, dirs, *self._jet(p, dirs))
+        return _fd_local(self.value(_fd_points(p, dirs, self.fd_step)), self.fd_step)
 
 
-def _covariant_endo(U: S2EndField, p, x, y) -> np.ndarray:
+def _covariant_endo(p, x, y, dU, Uv) -> np.ndarray:
     """(nabla-bar_x U)(y) at p, for tangent vectors x, y.
 
-    y is extended by projecting the constant ambient vector: for that
-    extension U(y-tilde)(c) = value(c) y (the tangential value already
-    absorbs the projector), while nabla-bar_x y-tilde = P (D_x P) y.
+    dU is the ambient derivative of U's tangential value along x and Uv
+    that value.  y is extended by projecting the constant ambient
+    vector: for that extension U(y-tilde)(c) = value(c) y (the
+    tangential value already absorbs the projector), while
+    nabla-bar_x y-tilde = P (D_x P) y.
     """
-    p = np.asarray(p, dtype=float)
-    proj = np.eye(3) - np.outer(p, p)
-    dproj = -np.outer(x, p) - np.outer(p, x)
-    dU = U._directional(p, x)
-    return proj @ (dU @ y) - U.value(p) @ (proj @ (dproj @ y))
+    proj = np.eye(3) - _outer(p, p)
+    dproj = -_outer(x, p) - _outer(p, x)
+    return _mv(proj, _mv(dU, y)) - _mv(Uv, _mv(proj, _mv(dproj, y)))
 
 
-def _delta_endo_s2(U: S2EndField, p) -> np.ndarray:
+def _delta_endo_s2(p, frame, Uv, derivs) -> np.ndarray:
     """delta-bar U = -sum_i (nabla-bar_{f_i} U)(f_i), ambient tangent vector."""
-    x, jx = tangent_basis(p)
-    return -(_covariant_endo(U, p, x, x) + _covariant_endo(U, p, jx, jx))
+    (x, jx), (dx, djx) = frame, derivs
+    return -(_covariant_endo(p, x, x, dx, Uv) + _covariant_endo(p, jx, jx, djx, Uv))
 
 
-def _det_tangent(U: S2EndField, p) -> float:
-    x, jx = tangent_basis(p)
-    Uv = U.value(p)
-    m = np.array([[x @ Uv @ x, x @ Uv @ jx], [jx @ Uv @ x, jx @ Uv @ jx]])
-    return float(np.linalg.det(m))
+def _det_tangent(Uv, x, jx) -> np.ndarray:
+    m = np.stack([(u[..., None, :] @ Uv) @ v[..., :, None] for u in (x, jx) for v in (x, jx)], axis=-1)
+    return np.linalg.det(m.reshape(m.shape[:-3] + (2, 2)))
 
 
 def s2_identity_field() -> S2EndField:
@@ -409,48 +456,43 @@ def s2_rigidity_residual(U: S2EndField, p) -> tuple:
     """(det U - 1, delta-bar U) at p; both vanish for U = +-Id.
 
     The divergence is returned as components in the (X, JX) basis of
-    `tangent_basis(p)`.
+    `tangent_basis(p)`.  For p of shape (..., 3) the residuals have
+    shapes (...) and (..., 2); a single point gives (float, (2,) array).
     """
-    x, jx = tangent_basis(p)
-    delta = _delta_endo_s2(U, p)
-    return _det_tangent(U, p) - 1.0, np.array([delta @ x, delta @ jx])
+    p = np.asarray(p, dtype=float)
+    frame = tangent_basis(p)
+    Uv, derivs = U._local(p, frame)
+    delta = _delta_endo_s2(p, frame, Uv, derivs)
+    det = _det_tangent(Uv, *frame) - 1.0
+    return (float(det) if p.ndim == 1 else det), np.stack([_dot(delta, v) for v in frame], axis=-1)
 
 
 def codazzi_divfree_equiv(S: S2EndField, p) -> tuple:
     """Both sides of the surface identity  J d^bar S(X, JX) = -delta-bar(J S J).
 
-    Returns (lhs, rhs) as ambient tangent vectors; they agree for every
-    endomorphism field S, which is the pointwise content of the
-    Codazzi <-> divergence-free equivalence.
+    Returns (lhs, rhs) as ambient tangent vectors, shape (..., 3); they
+    agree for every endomorphism field S, which is the pointwise content
+    of the Codazzi <-> divergence-free equivalence.
     """
     p = np.asarray(p, dtype=float)
-    x, jx = tangent_basis(p)
-    d_codazzi = _covariant_endo(S, p, x, jx) - _covariant_endo(S, p, jx, x)
+    frame = tangent_basis(p)
+    x, jx = frame
     J = hat(p)  # the complex structure v -> p x v
-    lhs = J @ d_codazzi
-
     if S.mats is not None:
-        # JSJ entries are polynomials: hat(p) has linear entries
-        px = Poly.coordinate(0, 3)
-        py = Poly.coordinate(1, 3)
-        pz = Poly.coordinate(2, 3)
-        zero = Poly.constant(0.0, 3)
-        Jp = [[zero, -pz, py], [pz, zero, -px], [-py, px, zero]]
-
-        def matmul(A, B):
-            return [
-                [sum((A[i][k] * B[k][j] for k in range(3)), Poly.constant(0.0, 3)) for j in range(3)]
-                for i in range(3)
-            ]
-
-        JSJ = S2EndField.from_polynomial_matrix(matmul(matmul(Jp, S.mats), Jp))
+        # J S J = hat(p) M hat(p), differentiated by the product rule
+        M, Mn, dMs = S._jet(p, frame)
+        Jn = hat(_normalize(p))
+        dJSJ = [hat(v) @ M @ J + J @ dM @ J + J @ M @ hat(v) for v, dM in zip(frame, dMs)]
+        Sv, (dx, djx) = _exact_local(p, frame, M, Mn, dMs)
+        JSJ = _exact_local(p, frame, J @ M @ J, Jn @ Mn @ Jn, dJSJ)
     else:
-        JSJ = S2EndField(
-            func=lambda q, S=S: np.einsum(
-                "...ij,...jk,...kl->...il", hat(q), S.value(q), hat(q)
-            ),
-            fd_step=S.fd_step,
-        )
-    rhs = -_delta_endo_s2(JSJ, p)
-    return lhs, rhs
-
+        # S at the shifted points and at their renormalisations, where
+        # J S J is sampled, in one call of S.func
+        pts = _fd_points(p, frame, S.fd_step)
+        q = _normalize(pts)
+        vals = S.value(np.stack([pts, q], axis=-3))
+        Sv, (dx, djx) = _fd_local(vals[..., 0, :, :, :], S.fd_step)
+        JSJv = _project(q, np.einsum("...ij,...jk,...kl->...il", hat(q), vals[..., 1, :, :, :], hat(q)))
+        JSJ = _fd_local(JSJv, S.fd_step)
+    d_codazzi = _covariant_endo(p, x, jx, dx, Sv) - _covariant_endo(p, jx, x, djx, Sv)
+    return _mv(J, d_codazzi), -_delta_endo_s2(p, frame, *JSJ)

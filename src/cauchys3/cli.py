@@ -63,6 +63,10 @@ class RunConfig:
         for name, value in (("tolerance", self.tolerance), ("fd-step", self.fd_step)):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {value}")
+        # a central difference over a step beyond the unit sphere's scale
+        # goes to 0 like 1/h, so both sides of a comparison vanish
+        if self.fd_step >= 1:
+            raise ValueError(f"fd-step must be below 1, got {self.fd_step}")
 
 
 # ---------------------------------------------------------------------------
@@ -359,59 +363,38 @@ def cmd_rigidity(args, config: RunConfig) -> int:
     pts = cls.random_s2_points(n, seed=config.seed)
     rng = np.random.default_rng(config.seed + 1)
 
-    rows = []
-    worst_id = 0.0
-    for name, mat in (("plus-id", np.eye(3)), ("minus-id", -np.eye(3))):
-        U = cls.S2EndField.from_constant(mat)
-        dmax = vmax = 0.0
-        for p in pts:
-            det_res, div_res = cls.s2_rigidity_residual(U, p)
-            dmax = max(dmax, abs(det_res))
-            vmax = max(vmax, float(np.max(np.abs(div_res))))
-        worst_id = max(worst_id, dmax, vmax)
-        rows.append({"field": name, "det_residual_max": dmax, "div_residual_max": vmax})
+    def worst(U, p):
+        det_res, div_res = cls.s2_rigidity_residual(U, p)
+        return {
+            "det_residual_max": float(np.max(np.abs(det_res))),
+            "div_residual_max": float(np.max(np.abs(div_res))),
+        }
+
+    rows = [
+        {"field": name, **worst(cls.S2EndField.from_constant(mat), pts)}
+        for name, mat in (("plus-id", np.eye(3)), ("minus-id", -np.eye(3)))
+    ]
+    worst_id = max(max(row["det_residual_max"], row["div_residual_max"]) for row in rows)
 
     # seeded polynomial perturbation direction, reused across epsilons
     coeffs = rng.normal(size=(3, 3, 4))
 
     def poly_entry(i, j):
         c = 0.5 * (coeffs[i, j] + coeffs[j, i])
-        return (
-            Poly.constant(c[0], 3)
-            + c[1] * Poly.coordinate(0, 3)
-            + c[2] * Poly.coordinate(1, 3)
-            + c[3] * Poly.coordinate(2, 3)
-        )
+        return sum((c[m + 1] * Poly.coordinate(m, 3) for m in range(3)), Poly.constant(c[0], 3))
 
     Smats = [[poly_entry(i, j) for j in range(3)] for i in range(3)]
     scaling = []
     for eps in (1e-2, 1e-3):
-        mats = [
-            [
-                Poly.constant(1.0 if i == j else 0.0, 3) + eps * Smats[i][j]
-                for j in range(3)
-            ]
-            for i in range(3)
-        ]
-        U = cls.S2EndField.from_polynomial_matrix(mats)
-        dmax = vmax = 0.0
-        for p in pts[: min(n, 40)]:
-            det_res, div_res = cls.s2_rigidity_residual(U, p)
-            dmax = max(dmax, abs(det_res))
-            vmax = max(vmax, float(np.max(np.abs(div_res))))
-        scaling.append({"epsilon": eps, "det_residual_max": dmax, "div_residual_max": vmax})
+        mats = [[Poly.constant(float(i == j), 3) + eps * Smats[i][j] for j in range(3)] for i in range(3)]
+        scaling.append({"epsilon": eps, **worst(cls.S2EndField.from_polynomial_matrix(mats), pts[:40])})
 
     ratio_det = scaling[0]["det_residual_max"] / max(scaling[1]["det_residual_max"], 1e-300)
     ratio_div = scaling[0]["div_residual_max"] / max(scaling[1]["div_residual_max"], 1e-300)
 
-    equiv_max = 0.0
-    S_exact = cls.S2EndField.from_polynomial_matrix(
-        [[Smats[i][j] for j in range(3)] for i in range(3)]
-    )
-    S = cls.S2EndField(func=S_exact.raw, fd_step=config.fd_step)
-    for p in pts[: min(n, 100)]:
-        lhs, rhs = cls.codazzi_divfree_equiv(S, p)
-        equiv_max = max(equiv_max, float(np.max(np.abs(lhs - rhs))))
+    S = cls.S2EndField(func=cls.S2EndField.from_polynomial_matrix(Smats).raw, fd_step=config.fd_step)
+    lhs, rhs = cls.codazzi_divfree_equiv(S, pts)
+    equiv_max = float(np.max(np.abs(lhs - rhs)))
 
     ok = (
         worst_id < 1e-12

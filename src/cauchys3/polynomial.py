@@ -14,8 +14,16 @@ times its coefficient vector.  :func:`evaluate` runs any number of
 polynomials against one table and forms each distinct monomial once;
 ``Poly.__call__`` runs the same kernel for a single polynomial.  The
 values are bit-identical to evaluating ``prod(x ** exps) @ coefs`` one
-polynomial at a time, while ``pow`` is called once per (point,
-variable, power) instead of once per (point, term, variable).
+polynomial at a time at the same point shape, while ``pow`` is called
+once per (point, variable, power) instead of once per (point, term,
+variable).
+
+The bits of a point's value can depend on the batch it is in.  A lone
+point of shape (nvars,) reduces its terms with one dot product (BLAS
+ddot); a batch of shape (n, nvars) reduces them with one matrix-vector
+product (gemv), which can round differently.  Points of shape
+(..., 1, nvars) are batches of one, so each reduces by ddot and keeps
+the bits it has when evaluated alone.
 """
 
 from __future__ import annotations
@@ -272,9 +280,6 @@ class Poly:
     @property
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __repr__(self):
         if not self.terms:

@@ -137,7 +137,7 @@ def test_sd_residuals_vanish_on_known_families(pts200):
 
 def test_right_family_reduction_has_nonzero_v(pts200):
     h = hopf_reduce(right_family_left_frame())
-    v = h.v_values(pts200)
+    v = np.stack([c(pts200) for c in h.v], axis=-1)
     assert np.max(np.abs(v)) > 1.0  # the full four-equation system is exercised
 
 

@@ -200,6 +200,21 @@ def test_nan_fd_step_rejected(capsys):
     assert "fd-step" in capsys.readouterr().err
 
 
+def test_fd_step_beyond_unit_scale_rejected(capsys):
+    # a central difference over a step far beyond the unit sphere goes to
+    # 0 like 1/h, so both sides of the Codazzi check vanish and it passes
+    code, out = run_cli(["--fd-step", "1e8", "rigidity"])
+    assert code == EXIT_INPUT and out == ""
+    assert "fd-step" in capsys.readouterr().err
+    assert main(["--fd-step", "1", "rigidity"]) == EXIT_INPUT
+
+
+def test_fd_step_below_one_runs():
+    code, out = run_cli(["--fd-step", "0.5", "--samples", "10", "rigidity"])
+    assert code == EXIT_TOLERANCE  # a coarse step fails the check honestly
+    assert json.loads(out)["codazzi_equivalence_max"] > 1e-6
+
+
 def test_infinite_tolerance_rejected(capsys):
     # an infinite tolerance would pass any residual
     code, out = run_cli(["--tol", "inf", "verify", "--expr", "diag(2,2,2)"])

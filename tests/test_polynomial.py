@@ -59,7 +59,7 @@ def test_constructors_and_repr():
     assert x2(np.array([0.0, 7.0, 0, 0])) == 7.0
     lin = Poly.linear([1.0, -1.0, 0.0, 2.0], 4)
     assert lin(np.array([1.0, 2.0, 3.0, 4.0])) == 1 - 2 + 8
-    assert Poly(4, {}).is_zero()
+    assert not Poly(4, {}).terms
     assert "x1" in repr(x2)
 
 
@@ -126,6 +126,23 @@ def test_shared_table_matches_reference_bit_for_bit(nvars):
         for pts in point_batches(rng, nvars):
             for got, p in zip(evaluate(polys, pts), polys):
                 assert_bitwise(got, reference_eval(p, pts))
+
+
+def test_point_bits_depend_on_batch_shape():
+    # one point reduces its terms by ddot, an (n, nvars) batch by gemv;
+    # (n, 1, nvars) makes every point a batch of one and keeps its bits
+    from cauchys3.classify import random_s2_points
+
+    p = Poly(3, {(0, 0, 0): 0.3, (1, 0, 0): -1.7, (0, 1, 0): 0.9, (0, 0, 1): 2.3})
+    pts = random_s2_points(100, seed=1)
+    alone = np.array([p(x) for x in pts])
+    assert_bitwise(p(pts[:, None, :])[:, 0], alone)
+    assert_bitwise(evaluate([p], pts[:, None, :])[0][:, 0], alone)
+    batch = p(pts)
+    assert_bitwise(evaluate([p], pts)[0], batch)
+    assert np.max(np.abs(batch - alone)) < 1e-15  # a last-bit difference
+    if np.array_equal(batch, alone):  # whether gemv and ddot differ is the BLAS kernel's choice
+        pytest.skip("this BLAS rounds the (n, nvars) batch as it rounds each point")
 
 
 def test_zero_and_constant_polynomials():
