@@ -12,6 +12,7 @@ one-parameter subgroup flows.
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .polynomial import Poly, evaluate
 __all__ = [
     "Chirality",
     "UnitQuaternion",
+    "TangentVec",
     "ScalarField",
     "quat_mul",
     "quat_conj",
@@ -141,6 +143,35 @@ class UnitQuaternion:
 
 def _as_array(q):
     return q.q if isinstance(q, UnitQuaternion) else np.asarray(q, dtype=float)
+
+
+@dataclass(frozen=True)
+class TangentVec:
+    """A tangent vector at a base point, by invariant-frame coefficients.
+
+    The frame is orthonormal for the round metric, so the coefficients
+    are metric components.
+    """
+
+    base: UnitQuaternion
+    coeffs: tuple
+    chirality: Chirality = Chirality.LEFT
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        if len(self.coeffs) != 3:
+            raise ValueError("expected three frame coefficients")
+
+    def ambient(self) -> np.ndarray:
+        """The vector in ambient R^4 coordinates (orthogonal to the base)."""
+        out = np.zeros(np.shape(self.base.q))
+        for k, c in enumerate(self.coeffs, start=1):
+            if c != 0.0:
+                out = out + c * invariant_vector(self.base, k, self.chirality)
+        return out
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.coeffs))
 
 
 def random_points(n: int, seed: int = 0) -> np.ndarray:

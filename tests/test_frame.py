@@ -180,13 +180,15 @@ def test_harmonic_quadratics(pts200):
 
 
 def test_tangent_vec():
-    # invariant-frame coefficients are metric components: the frame is orthonormal
+    from cauchys3.frame import TangentVec
+
     q = UnitQuaternion(random_points(1, seed=8)[0])
-    coeffs = (1.0, -2.0, 0.5)
-    for chirality in (Chirality.LEFT, Chirality.RIGHT):
-        amb = sum(c * invariant_vector(q, k, chirality) for k, c in enumerate(coeffs, start=1))
-        assert abs(np.dot(amb, q.q)) < 1e-12  # tangent to the sphere
-        assert abs(np.linalg.norm(amb) - np.linalg.norm(coeffs)) < 1e-12
+    v = TangentVec(q, (1.0, -2.0, 0.5))
+    amb = v.ambient()
+    assert abs(np.dot(amb, q.q)) < 1e-12  # tangent to the sphere
+    assert abs(np.linalg.norm(amb) - v.norm()) < 1e-12  # frame is orthonormal
+    with pytest.raises(ValueError):
+        TangentVec(q, (1.0, 2.0))
 
 
 def test_random_points_deterministic():

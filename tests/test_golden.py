@@ -10,9 +10,10 @@ the diff.
 
 When this interpreter matches the recorded environment (Python
 major.minor, the numpy version, numpy's found SIMD targets, the BLAS
-build and the C library), stdout must match byte for byte.  Elsewhere
-the last bits of a float may legitimately move (another `pow`, another
-BLAS kernel), so both documents are parsed and compared value by value:
+build and the C library), stdout must match byte for byte.  Elsewhere,
+and where numpy cannot report these (numpy < 2.0), the last bits of a
+float may legitimately move (another `pow`, another BLAS kernel), so
+both documents are parsed and compared value by value:
 keys, strings, integers, booleans and exit codes exactly, floats within
 a relative 1e-8 (the ODE-versus-closed-form tolerance) or an absolute
 1e-10 (the flatness tolerance and the CLI's default `--tol`).
@@ -52,15 +53,26 @@ REL_TOL = 1e-8
 ABS_TOL = 1e-10
 
 
-def environment() -> dict:
-    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+ENV_KEYS = ["python", "numpy", "simd_found", "blas", "libc"]
 
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+
+def environment() -> "dict | None":
+    """This interpreter's environment as the manifest records it, or None
+    where numpy does not expose it (`numpy._core` and `show_config(mode=)`
+    need numpy >= 2.0): None never equals the recorded environment, so
+    the documents are then compared by value."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_id = blas.get("openblas configuration", f"{blas.get('name')} {blas.get('version')}")
+    except (ImportError, TypeError, KeyError, AttributeError):
+        return None
     return {
         "python": ".".join(platform.python_version_tuple()[:2]),
         "numpy": np.__version__,
         "simd_found": [f for f in __cpu_dispatch__ if __cpu_features__.get(f)],
-        "blas": blas.get("openblas configuration", f"{blas.get('name')} {blas.get('version')}"),
+        "blas": blas_id,
         "libc": " ".join(platform.libc_ver()),
     }
 
@@ -93,7 +105,9 @@ def _manifest() -> dict:
 def test_manifest_lists_every_invocation():
     manifest = _manifest()
     assert [case["argv"] for case in manifest["invocations"]] == INVOCATIONS
-    assert set(manifest["environment"]) == set(environment())
+    assert list(manifest["environment"]) == ENV_KEYS
+    env = environment()
+    assert env is None or list(env) == ENV_KEYS
 
 
 @pytest.mark.parametrize("argv", INVOCATIONS, ids=_stem)
@@ -105,11 +119,39 @@ def test_golden_output(argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(list(argv))
-    got = buf.getvalue().encode()
     assert code == case["exit"]
+    _compare(buf.getvalue().encode(), want)
+
+
+def _compare(got: bytes, want: bytes):
     if _manifest()["environment"] == environment():
         assert got == want
     _close(json.loads(got), json.loads(want))
+
+
+def _numpy_without_show_config_mode(monkeypatch):
+    def show_config():  # numpy < 1.26 takes no `mode`
+        pass
+
+    monkeypatch.setattr(np, "show_config", show_config)
+
+
+def _numpy_without_core(monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy._core._multiarray_umath", None)  # numpy 1.x
+
+
+@pytest.mark.parametrize("older_numpy", [_numpy_without_show_config_mode, _numpy_without_core])
+def test_unreadable_environment_compares_by_value(monkeypatch, older_numpy):
+    older_numpy(monkeypatch)
+    assert environment() is None
+    test_golden_output(["rigidity"])
+    want = (GOLDEN / _manifest()["invocations"][8]["stdout"]).read_bytes()
+    moved = json.loads(want)
+    moved["scaling_ratio_det"] = float(np.nextafter(moved["scaling_ratio_det"], np.inf))
+    _compare(json.dumps(moved).encode(), want)  # a last-bit move passes by value
+    moved["scaling_ratio_det"] *= 1.0 + 1e-6
+    with pytest.raises(AssertionError):
+        _compare(json.dumps(moved).encode(), want)
 
 
 def test_tolerant_comparison_sees_a_changed_value():
@@ -126,6 +168,8 @@ def test_tolerant_comparison_sees_a_changed_value():
 
 
 def _write():
+    if environment() is None:
+        sys.exit("the environment cannot be recorded under numpy < 2.0")
     src = str(GOLDEN.parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     GOLDEN.mkdir(exist_ok=True)
