@@ -304,12 +304,19 @@ def _dot(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _cross(a, b):
+    """a x b by np.cross's products and differences, so the same bits;
+    np.cross's own overhead is 3x this on one point (38 against 13 us)."""
+    i, j = [1, 2, 0], [2, 0, 1]
+    return a[..., i] * b[..., j] - a[..., j] * b[..., i]
+
+
 def tangent_basis(p) -> tuple:
     """A deterministic orthonormal tangent pair (X, JX) at p, JX = p x X."""
     p = np.asarray(p, dtype=float)
-    x = np.cross(p, np.eye(3)[np.argmin(np.abs(p), axis=-1)])
+    x = _cross(p, np.eye(3)[np.argmin(np.abs(p), axis=-1)])
     x = x / np.sqrt(_dot(x, x))[..., None]
-    return x, np.cross(p, x)
+    return x, _cross(p, x)
 
 
 def _normalize(p):
