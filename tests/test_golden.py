@@ -34,7 +34,8 @@ import pytest
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# the nine README invocations CI runs, and two more rigidity runs
+# the nine README invocations CI runs, two more rigidity runs and the
+# benchmark's field spec
 INVOCATIONS = [
     ["verify", "--builtin", "left-133"],
     ["verify", "--expr", "diag(2,2,2)"],
@@ -47,6 +48,7 @@ INVOCATIONS = [
     ["rigidity"],
     ["--seed", "7919", "rigidity"],
     ["--samples", "37", "rigidity"],
+    ["verify", "--expr", "sym(a1*a2 - a3^2, a4, a1*a3, 1 + a2^3, a4*a1, -a1)"],
 ]
 
 REL_TOL = 1e-8
