@@ -21,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .cauchy import SymEnd3Field, _coerce_entry, _same_entry
+from .cauchy import SymEnd3Field, VectorField3, _coerce_entry, _same_entry
 from .frame import Chirality, ScalarField, _as_array
 from .polynomial import Poly, evaluate
 from .tensor import cov_matrix, cov_vector, hat
@@ -160,20 +160,13 @@ def hopf_reduce(A: SymEnd3Field, check_invariance: bool = True, seed: int = 321)
         from .frame import random_points
 
         pts = random_points(24, seed=seed)
-        xi = _e1_field()
-        worst = float(np.max(np.abs(lie_derivative_endo(A, xi, pts))))
+        worst = float(np.max(np.abs(lie_derivative_endo(A, VectorField3.frame_vector(1), pts))))
         if worst > 1e-8:
             raise ValueError(f"field is not e_1-invariant (max |L_e1 A| = {worst:.3e})")
     f = A.entries[0][0]
     v = (A.entries[0][1], A.entries[0][2])
     B = ((A.entries[1][1], A.entries[1][2]), (A.entries[1][2], A.entries[2][2]))
     return HopfReducedData(f=f, v=v, B=B)
-
-
-def _e1_field():
-    from .cauchy import VectorField3
-
-    return VectorField3([1.0, 0.0, 0.0], Chirality.LEFT)
 
 
 def _twist(m) -> np.ndarray:

@@ -58,6 +58,8 @@ class RunConfig:
     output_format: str = "json"
 
     def validate(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         for name, value in (("tolerance", self.tolerance), ("fd-step", self.fd_step)):
@@ -214,10 +216,8 @@ def cmd_classify(args, config: RunConfig) -> int:
                 "a": a,
                 "b": b,
                 "c": c,
-                "cyclic_residual": float(np.max(np.abs(cls.constant_frame_residual((a, b, c)))))
-                if chir == "left"
-                else float(
-                    np.max(np.abs(cls.constant_frame_residual((-a, -b, -c))))
+                "cyclic_residual": float(
+                    np.max(np.abs(cls.constant_frame_residual((a, b, c) if chir == "left" else (-a, -b, -c))))
                 ),
                 "flatness_max": res,
             }
@@ -290,13 +290,16 @@ def _parse_range(text: str) -> tuple:
 def cmd_cylinder(args, config: RunConfig) -> int:
     probe = None
     try:
+        if args.s is not None:
+            s_lo, s_hi = _parse_range(args.s)
+            if s_lo >= s_hi:
+                raise ValueError(f"s ranges need LO < HI, got {args.s!r}")
         if args.probe_curvature:
             if args.s is None:
                 raise ValueError("--probe-curvature requires --s LO..HI")
             if args.probe_points < 2:
                 raise ValueError("--probe-points must be at least 2")
-            lo, hi = _parse_range(args.s)
-            svals = np.linspace(hi, lo, args.probe_points)  # decreasing toward 1/2
+            svals = np.linspace(s_hi, s_lo, args.probe_points)  # decreasing toward 1/2
             probe = cyl.curvature_blowup_probe(svals)
             profile = None
         elif args.to_singularity:
@@ -307,12 +310,15 @@ def cmd_cylinder(args, config: RunConfig) -> int:
                 raise ValueError("t ranges start at 0 (initial data lives there)")
             profile = cyl.integrate(t_end=hi)
         elif args.s is not None:
-            lo, hi = _parse_range(args.s)
-            profile = cyl.integrate(s_end=hi if hi > 1 else lo)
+            profile = cyl.integrate(s_end=s_hi if s_hi > 1 else s_lo)
         else:
             raise ValueError("give one of --t, --s, --to-singularity, --probe-curvature")
+        rows = None if profile is None else cyl.trajectory_rows(profile)
     except ValueError as exc:
         print(f"cylinder: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OverflowError as exc:
+        print(f"cylinder: range too large for floating point: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
     report = {
@@ -329,7 +335,6 @@ def cmd_cylinder(args, config: RunConfig) -> int:
         report["pass"] = increasing
         code = EXIT_PASS if increasing else EXIT_TOLERANCE
     else:
-        rows = cyl.trajectory_rows(profile)
         drift = max(abs(r["conserved"] - 2.0) for r in rows)
         slice_rel = max(r["slice_residual_rel"] for r in rows)
         ricci_rel = max(r["ricci_norm_rel"] for r in rows)

@@ -145,10 +145,6 @@ class CylinderState:
     def s(self) -> float:
         return self.a * self.b
 
-    @property
-    def derivatives(self) -> tuple:
-        return reduced_rhs(self.a, self.b)
-
 
 class SingularityReached(Exception):
     """Raised when a backward integration hits the s -> 1/2 boundary."""
@@ -173,11 +169,6 @@ _DP_A = (
 )
 _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-
-
-def _rhs_vec(y):
-    ad, bd = reduced_rhs(y[0], y[1])
-    return np.array([ad, bd])
 
 
 def _project_conserved(y):
@@ -216,9 +207,6 @@ class CylinderProfile:
     def __post_init__(self):
         self._order = np.argsort(self.t)
 
-    def state(self, i: int) -> CylinderState:
-        return CylinderState(float(self.t[i]), float(self.a[i]), float(self.b[i]))
-
     def __call__(self, tq):
         """Interpolated (a, b) at times tq (quintic Hermite per interval)."""
         tq = np.asarray(tq, dtype=float)
@@ -252,6 +240,8 @@ class CylinderProfile:
         return out[0], out[1]
 
 
+# a forward run that overflows ends in the OverflowError below, not in warnings
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(
     t_end: float | None = None,
     s_end: float | None = None,
@@ -266,6 +256,7 @@ def integrate(
     backward.  Every accepted step is projected back onto the conserved
     level set.  A backward run that would cross s = s_stop terminates
     with `singularity` set, holding the boundary state as its last node.
+    A forward run whose state overflows floating point raises OverflowError.
     """
     if (t_end is None) == (s_end is None):
         raise ValueError("give exactly one of t_end / s_end")
@@ -293,7 +284,7 @@ def integrate(
         k = []
         for i in range(7):
             yi = y + h * sum(_DP_A[i][j] * k[j] for j in range(i)) if i else y
-            k.append(_rhs_vec(yi))
+            k.append(np.array(reduced_rhs(*yi)))
         y5 = y + h * sum(_DP_B5[i] * k[i] for i in range(7))
         y4 = y + h * sum(_DP_B4[i] * k[i] for i in range(7))
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
@@ -302,8 +293,11 @@ def integrate(
 
     while not done(t, y) and nsteps < max_steps:
         if abs(h) < 1e-15:
-            # step-size underflow: only reachable by driving into the
-            # boundary faster than the s-event can catch it
+            # step-size underflow: a backward run drove into the boundary faster
+            # than the s-event caught it; a forward run meets no singularity, so
+            # its state has left floating-point range
+            if not backward:
+                raise OverflowError(f"the state overflowed near t = {t:.6g}")
             raise SingularityReached(CylinderState(t, float(y[0]), float(y[1])))
         if t_end is not None and abs(h) > abs(t_end - t):
             h = t_end - t
@@ -325,19 +319,6 @@ def integrate(
                         break
                     h *= (target - s0) / (s1 - s0)
                     y5, err = dp_step(y, h)
-                t += h
-                max_drift = max(max_drift, abs(conserved_quantity(*y5) - 2.0))
-                y = _project_conserved(y5)
-                ad, bd = reduced_rhs(*y)
-                ts.append(t)
-                as_.append(y[0])
-                bs.append(y[1])
-                ads.append(ad)
-                bds.append(bd)
-                nsteps += 1
-                if crossed_stop:
-                    singular = True
-                break
             t += h
             max_drift = max(max_drift, abs(conserved_quantity(*y5) - 2.0))
             y = _project_conserved(y5)
@@ -348,6 +329,9 @@ def integrate(
             ads.append(ad)
             bds.append(bd)
             nsteps += 1
+            if crossed_stop or crossed_end:
+                singular = bool(crossed_stop)
+                break
         h *= min(5.0, max(0.2, 0.9 * (1.0 / max(err, 1e-12)) ** 0.2))
 
     profile = CylinderProfile(

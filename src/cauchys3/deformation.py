@@ -45,10 +45,9 @@ LIE_E3_A0 = np.zeros((3, 3))
 LIE_E3_A0[0, 1] = LIE_E3_A0[1, 0] = 8.0
 
 
-def berger_laplacian(f: ScalarField, points) -> np.ndarray:
-    """Delta_B f = -(3 e1 e1 + e2 e2 + e3 e3) f (left frame)."""
+def _laplacian(f: ScalarField, points, weights) -> np.ndarray:
+    """-(w_1 e1 e1 + w_2 e2 e2 + w_3 e3 e3) f in the left frame."""
     pts = _as_array(points)
-    weights = (3.0, 1.0, 1.0)
     out = np.zeros(pts.shape[:-1])
     for k, w in zip((1, 2, 3), weights):
         second = f.frame_derivative(k, Chirality.LEFT).frame_derivative(k, Chirality.LEFT)
@@ -56,14 +55,15 @@ def berger_laplacian(f: ScalarField, points) -> np.ndarray:
     return out
 
 
+def berger_laplacian(f: ScalarField, points) -> np.ndarray:
+    """Delta_B f = -(3 e1 e1 + e2 e2 + e3 e3) f (left frame)."""
+    return _laplacian(f, points, (3.0, 1.0, 1.0))
+
+
 def round_laplacian(f: ScalarField, points) -> np.ndarray:
     """Delta f = -(e1 e1 + e2 e2 + e3 e3) f, the round-metric Laplacian."""
-    pts = _as_array(points)
-    out = np.zeros(pts.shape[:-1])
-    for k in (1, 2, 3):
-        second = f.frame_derivative(k, Chirality.LEFT).frame_derivative(k, Chirality.LEFT)
-        out = out - second(pts)
-    return out
+    # 1.0 * x is exact, so the unit weights keep the unweighted sum's bits
+    return _laplacian(f, points, (1.0, 1.0, 1.0))
 
 
 def lemma_derivative_checks(k: int, points) -> np.ndarray:

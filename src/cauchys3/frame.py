@@ -12,7 +12,6 @@ one-parameter subgroup flows.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .polynomial import Poly, evaluate
 __all__ = [
     "Chirality",
     "UnitQuaternion",
-    "TangentVec",
     "ScalarField",
     "quat_mul",
     "quat_conj",
@@ -106,72 +104,12 @@ class UnitQuaternion:
             raise ValueError(f"not a unit quaternion (|norm^2 - 1| = {err:.3e})")
         self.q = q
 
-    @classmethod
-    def identity(cls) -> "UnitQuaternion":
-        return cls(np.array([1.0, 0.0, 0.0, 0.0]))
-
-    @classmethod
-    def unit(cls, k: int) -> "UnitQuaternion":
-        """The imaginary unit i, j or k (k = 1, 2, 3)."""
-        return cls(_IM[k].copy())
-
-    @property
-    def w(self):
-        return self.q[..., 0]
-
-    @property
-    def x(self):
-        return self.q[..., 1]
-
-    @property
-    def y(self):
-        return self.q[..., 2]
-
-    @property
-    def z(self):
-        return self.q[..., 3]
-
-    def __mul__(self, other: "UnitQuaternion") -> "UnitQuaternion":
-        return UnitQuaternion(quat_mul(self.q, other.q), normalize=True)
-
-    def conjugate(self) -> "UnitQuaternion":
-        return UnitQuaternion(quat_conj(self.q))
-
     def __repr__(self):
         return f"UnitQuaternion({self.q!r})"
 
 
 def _as_array(q):
     return q.q if isinstance(q, UnitQuaternion) else np.asarray(q, dtype=float)
-
-
-@dataclass(frozen=True)
-class TangentVec:
-    """A tangent vector at a base point, by invariant-frame coefficients.
-
-    The frame is orthonormal for the round metric, so the coefficients
-    are metric components.
-    """
-
-    base: UnitQuaternion
-    coeffs: tuple
-    chirality: Chirality = Chirality.LEFT
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        if len(self.coeffs) != 3:
-            raise ValueError("expected three frame coefficients")
-
-    def ambient(self) -> np.ndarray:
-        """The vector in ambient R^4 coordinates (orthogonal to the base)."""
-        out = np.zeros(np.shape(self.base.q))
-        for k, c in enumerate(self.coeffs, start=1):
-            if c != 0.0:
-                out = out + c * invariant_vector(self.base, k, self.chirality)
-        return out
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
 
 
 def random_points(n: int, seed: int = 0) -> np.ndarray:
@@ -204,14 +142,7 @@ def flow(q, k: int, s, chirality: Chirality = Chirality.LEFT) -> UnitQuaternion:
 # Ambient matrices of the linear maps q -> q*u_k (left frame) and
 # q -> u_k*q (right frame); columns are images of the standard basis.
 def _mul_matrix(k: int, chirality: Chirality) -> np.ndarray:
-    basis = np.eye(4)
-    cols = []
-    for n in range(4):
-        if chirality is Chirality.LEFT:
-            cols.append(quat_mul(basis[n], _IM[k]))
-        else:
-            cols.append(quat_mul(_IM[k], basis[n]))
-    return np.stack(cols, axis=1)
+    return np.stack([invariant_vector(e, k, chirality) for e in np.eye(4)], axis=1)
 
 
 FRAME_MATRICES = {
@@ -256,10 +187,6 @@ class ScalarField:
     @classmethod
     def constant(cls, value: float) -> "ScalarField":
         return cls(poly=Poly.constant(value, 4))
-
-    @property
-    def mode(self) -> str:
-        return "exact-polynomial" if self.poly is not None else "finite-difference"
 
     def __call__(self, points) -> np.ndarray:
         pts = _as_array(points)
@@ -368,7 +295,7 @@ def directional_derivative(f: ScalarField, q, word, chirality: Chirality = Chira
     length at most 2.
     """
     word = list(word)
-    if f.mode == "finite-difference" and len(word) + f._fd_depth > 2:
+    if f.poly is None and len(word) + f._fd_depth > 2:
         raise ValueError("finite-difference mode supports words of length <= 2")
     g = f
     for k in reversed(word):

@@ -27,7 +27,6 @@ __all__ = [
     "unhat",
     "wedge_endo",
     "hodge_star",
-    "interior_product",
     "structure_constant",
     "gamma_round",
     "levi_civita_round",
@@ -77,11 +76,6 @@ def hodge_star(obj) -> np.ndarray:
     on storage; it exists to mark the change of interpretation.
     """
     return np.array(obj, dtype=float)
-
-
-def interior_product(x, form) -> np.ndarray:
-    """X contracted into the 2-form with dual vector s: returns s x X."""
-    return np.cross(np.asarray(form, dtype=float), np.asarray(x, dtype=float))
 
 
 _EPS = np.zeros((3, 3, 3))

@@ -129,6 +129,12 @@ def test_cylinder_probe_needs_two_points(npoints, capsys):
 def test_cylinder_bad_range(capsys):
     assert main(["cylinder", "--t", "1..2"]) == EXIT_INPUT
     assert main(["cylinder"]) == EXIT_INPUT
+    capsys.readouterr()
+    # s ranges run from LO up to HI > LO
+    for argv in (["--s", "0.9..0.51", "--probe-curvature"], ["--s", "0.9..0.6"], ["--s", "0.7..0.7"]):
+        code, out = run_cli(["cylinder"] + argv)
+        assert code == EXIT_INPUT and out == ""
+        assert "LO < HI" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -147,6 +153,17 @@ def test_cylinder_nonfinite_range_rejected(argv, capsys):
     code, out = run_cli(["cylinder"] + argv)
     assert code == EXIT_INPUT and out == ""
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["--t", "0..1e100"], ["--t", "0..1e200"], ["--s", "0.6..1e300"]], ids=" ".join
+)
+def test_cylinder_huge_range_rejected(argv, capsys):
+    # finite, but the state or the export overflows floating point
+    code, out = run_cli(["cylinder"] + argv)
+    assert code == EXIT_INPUT and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("cylinder: range too large for floating point: ") and err.count("\n") == 1
 
 
 def test_rigidity():
@@ -186,6 +203,12 @@ def test_csv_bitwise_stable():
 def test_invalid_config_rejected(capsys):
     assert main(["--samples", "0", "deform"]) == EXIT_INPUT
     assert main(["--tol", "-1", "deform"]) == EXIT_INPUT
+    capsys.readouterr()
+    subcommands = [["verify", "--builtin", "left-133"], ["classify"], ["deform"], ["cylinder", "--t", "0..3"], ["rigidity"]]
+    for argv in subcommands:
+        code, out = run_cli(["--seed", "-1"] + argv)
+        assert code == EXIT_INPUT and out == ""
+        assert capsys.readouterr().err == "cauchys3: seed must be >= 0, got -1\n"
 
 
 def test_nan_tolerance_rejected(capsys):

@@ -180,15 +180,13 @@ def test_harmonic_quadratics(pts200):
 
 
 def test_tangent_vec():
-    from cauchys3.frame import TangentVec
-
+    # sum_k c_k e_k at q, in either invariant frame
     q = UnitQuaternion(random_points(1, seed=8)[0])
-    v = TangentVec(q, (1.0, -2.0, 0.5))
-    amb = v.ambient()
-    assert abs(np.dot(amb, q.q)) < 1e-12  # tangent to the sphere
-    assert abs(np.linalg.norm(amb) - v.norm()) < 1e-12  # frame is orthonormal
-    with pytest.raises(ValueError):
-        TangentVec(q, (1.0, 2.0))
+    c = np.array([1.0, -2.0, 0.5])
+    for chirality in Chirality:
+        amb = sum(c[k - 1] * invariant_vector(q, k, chirality) for k in (1, 2, 3))
+        assert abs(np.dot(amb, q.q)) < 1e-12  # tangent to the sphere
+        assert abs(np.linalg.norm(amb) - np.linalg.norm(c)) < 1e-12  # frame is orthonormal
 
 
 def test_random_points_deterministic():
