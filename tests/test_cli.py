@@ -204,8 +204,13 @@ def test_invalid_config_rejected(capsys):
     assert main(["--samples", "0", "deform"]) == EXIT_INPUT
     assert main(["--tol", "-1", "deform"]) == EXIT_INPUT
     capsys.readouterr()
-    subcommands = [["verify", "--builtin", "left-133"], ["classify"], ["deform"], ["cylinder", "--t", "0..3"], ["rigidity"]]
-    for argv in subcommands:
+    for argv in (
+        ["verify", "--builtin", "left-133"],
+        ["classify"],
+        ["deform"],
+        ["cylinder", "--t", "0..3"],
+        ["rigidity"],
+    ):
         code, out = run_cli(["--seed", "-1"] + argv)
         assert code == EXIT_INPUT and out == ""
         assert capsys.readouterr().err == "cauchys3: seed must be >= 0, got -1\n"
