@@ -5,18 +5,21 @@ ambient polynomial representative is stored as a :class:`Poly`, and
 directional derivatives along linear vector fields map polynomials to
 polynomials, so iterated frame derivatives stay exact.
 
-All evaluation runs on one kernel.  A point batch becomes a single
-power table ``x_v ** k`` (every variable v, every k up to the largest
-exponent in use), computed once with ``np.power``.  Each monomial is
-gathered from that table and multiplied out over the variables in
-variable order; a polynomial is the contiguous array of its monomials
-times its coefficient vector.  :func:`evaluate` runs any number of
-polynomials against one table and forms each distinct monomial once;
-``Poly.__call__`` runs the same kernel for a single polynomial.  The
-values are bit-identical to evaluating ``prod(x ** exps) @ coefs`` one
-polynomial at a time at the same point shape, while ``pow`` is called
-once per (point, variable, power) instead of once per (point, term,
-variable).
+All evaluation runs through :func:`evaluate`; ``Poly.__call__`` is
+``evaluate`` of a one-polynomial list.  A list is compiled once into a
+plan: the distinct monomials of all its polynomials, their positions in
+the power table, and each polynomial's monomial columns and coefficient
+vector.  Plans are kept by the list's polynomials themselves (``Poly``
+compares by identity and is immutable), in one cache of ``_PLANS``
+lists.  A point batch becomes a single power table ``x_v ** k`` (every
+variable v, every k up to the largest exponent in use), computed once
+with ``np.power``.  Each distinct monomial is gathered from that table
+and multiplied out over the variables in variable order; a polynomial
+is the contiguous array of its monomials times its coefficient vector.
+The values are bit-identical to evaluating ``prod(x ** exps) @ coefs``
+one polynomial at a time at the same point shape, while ``pow`` is
+called once per (point, variable, power) instead of once per (point,
+term, variable).
 
 The bits of a point's value can depend on the batch it is in.  A lone
 point of shape (nvars,) reduces its terms with one dot product (BLAS
@@ -28,46 +31,43 @@ the bits it has when evaluated alone.
 
 from __future__ import annotations
 
-from itertools import chain
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = ["Poly", "power_table", "evaluate"]
 
-# exponent columns 0..width-1, shaped to broadcast against (..., 1, nvars)
-_COLUMNS: dict[int, np.ndarray] = {}
-
-# (table index, width) by (nvars, exponent sequence).  Polynomials
-# rebuilt per point (gradients, constants) repeat a few exponent
-# sequences, so compiling them costs about as much as reading their
-# coefficients.
-_INDEX: dict[tuple, tuple] = {}
-_INDEX_CAP = 4096
+# polynomial lists whose plans are kept.  A plan keeps its polynomials
+# alive, and callers that build fresh fields per call (deformation_report)
+# would otherwise hold every call's polynomials.
+_PLANS = 64
 
 
-def _exponent_column(width: int) -> np.ndarray:
-    col = _COLUMNS.get(width)
-    if col is None:
-        col = _COLUMNS[width] = np.arange(width, dtype=float)[:, None]
-    return col
-
-
-def _table_index(exponents: tuple, nvars: int) -> tuple:
-    """(index, width) for a sequence of exponent tuples.
+@lru_cache(maxsize=_PLANS)
+def _plan(polys: tuple) -> tuple:
+    """(nvars, index, width, parts) for a tuple of polynomials.
 
     Row v of the index holds the table positions e_v * nvars + v of the
-    monomials' factors in variable v: shape (nvars, monomials).
+    distinct monomials' factors in variable v: shape (nvars, monomials).
+    parts holds, per polynomial, its monomial columns (None where they
+    are the whole table in order) and its coefficient vector.
     """
-    key = (nvars, exponents)
-    hit = _INDEX.get(key)
-    if hit is None:
-        if len(_INDEX) >= _INDEX_CAP:
-            _INDEX.clear()
-        exps = np.fromiter(chain.from_iterable(exponents), np.intp, len(exponents) * nvars)
-        index = (exps.reshape(len(exponents), nvars) * nvars + np.arange(nvars)).T
-        index.flags.writeable = False
-        hit = _INDEX[key] = (index, max(map(max, exponents), default=0) + 1)
-    return hit
+    nvars = polys[0].nvars
+    columns: dict[tuple, int] = {}
+    for p in polys:
+        if p.nvars != nvars:
+            raise ValueError("polynomials over different variable counts")
+        for e in p.terms:
+            columns.setdefault(e, len(columns))
+    exps = np.array(list(columns), dtype=np.intp).reshape(len(columns), nvars)
+    index = (exps * nvars + np.arange(nvars)).T
+    parts = []
+    for p in polys:
+        cols = np.fromiter(map(columns.__getitem__, p.terms), np.intp, len(p.terms))
+        if np.array_equal(cols, np.arange(len(columns))):
+            cols = None
+        parts.append((cols, np.fromiter(p.terms.values(), float, len(p.terms))))
+    return nvars, index, int(exps.max(initial=0)) + 1, parts
 
 
 def power_table(points, width: int) -> np.ndarray:
@@ -78,7 +78,7 @@ def power_table(points, width: int) -> np.ndarray:
     monomial's table positions do not depend on the width.
     """
     pts = np.asarray(points, dtype=float)
-    table = np.power(pts[..., None, :], _exponent_column(width))
+    table = np.power(pts[..., None, :], np.arange(width, dtype=float)[:, None])
     return table.reshape(pts.shape[:-1] + (width * pts.shape[-1],))
 
 
@@ -91,10 +91,13 @@ def _monomials(table, index) -> np.ndarray:
     return np.multiply.reduce(table.take(index, axis=-1), axis=-2)
 
 
-def _combine(mono, coefs) -> np.ndarray:
-    """sum_t coefs[t] * mono[..., t].  The monomial array reaches the
-    matrix-vector product contiguous, as np.prod leaves it, so BLAS adds
-    the terms in the same order."""
+def _combine(mono, cols, coefs) -> np.ndarray:
+    """sum_t coefs[t] * mono[..., cols[t]], over all of mono where cols
+    is None.  The monomial array reaches the matrix-vector product
+    contiguous, as np.prod leaves it, so BLAS adds the terms in the same
+    order."""
+    if cols is not None:
+        mono = mono.take(cols, axis=-1)
     return np.ascontiguousarray(mono) @ coefs
 
 
@@ -103,27 +106,17 @@ def evaluate(polys, points) -> list:
 
     One power table serves them all, and a monomial that several of them
     share is formed once.  Returns one array of shape (...) per
-    polynomial, bit-identical to calling each polynomial on its own.
+    polynomial, bit-identical to evaluating each polynomial on its own.
     """
-    polys = list(polys)
+    polys = tuple(polys)
     if not polys:
         return []
     pts = np.asarray(points, dtype=float)
-    columns: dict[tuple, int] = {}
-    for p in polys:
-        p._check_points(pts)
-        for e in p.terms:
-            columns.setdefault(e, len(columns))
-    index, width = _table_index(tuple(columns), polys[0].nvars)
+    nvars, index, width, parts = _plan(polys)
+    if pts.shape[-1] != nvars:
+        raise ValueError(f"points must have last dimension {nvars}")
     mono = _monomials(power_table(pts, width), index)
-    out = []
-    for p in polys:
-        if not p.terms:
-            out.append(np.zeros(pts.shape[:-1]))
-            continue
-        cols = np.fromiter(map(columns.__getitem__, p.terms), np.intp, len(p.terms))
-        out.append(_combine(mono.take(cols, axis=-1), p._compile()[1]))
-    return out
+    return [_combine(mono, cols, coefs) if coefs.size else np.zeros(pts.shape[:-1]) for cols, coefs in parts]
 
 
 class Poly:
@@ -134,7 +127,7 @@ class Poly:
     return new polynomials.
     """
 
-    __slots__ = ("nvars", "terms", "_index", "_coefs", "_width")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: dict | None = None):
         self.nvars = int(nvars)
@@ -148,9 +141,6 @@ class Poly:
                 if c != 0.0:
                     clean[e] = clean.get(e, 0.0) + c
         self.terms = {e: c for e, c in clean.items() if c != 0.0}
-        self._index = None
-        self._coefs = None
-        self._width = None
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -256,25 +246,9 @@ class Poly:
         return [self.partial(i) for i in range(self.nvars)]
 
     # -- evaluation ---------------------------------------------------
-    def _compile(self):
-        """(table index, coefficients, table width), built once."""
-        if self._coefs is None:
-            self._index, self._width = _table_index(tuple(self.terms), self.nvars)
-            self._coefs = np.fromiter(self.terms.values(), float, len(self.terms))
-        return self._index, self._coefs, self._width
-
-    def _check_points(self, pts):
-        if pts.shape[-1] != self.nvars:
-            raise ValueError(f"points must have last dimension {self.nvars}")
-
     def __call__(self, points):
         """Evaluate at points of shape (..., nvars).  Returns shape (...)."""
-        pts = np.asarray(points, dtype=float)
-        self._check_points(pts)
-        if not self.terms:
-            return np.zeros(pts.shape[:-1])
-        index, coefs, width = self._compile()
-        return _combine(_monomials(power_table(pts, width), index), coefs)
+        return evaluate((self,), points)[0]
 
     # -- misc ---------------------------------------------------------
     @property

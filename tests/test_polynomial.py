@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchys3.polynomial import Poly, evaluate, power_table
+from cauchys3.polynomial import _PLANS, Poly, _plan, evaluate, power_table
 
 coeff = st.floats(min_value=-4, max_value=4, allow_nan=False)
 pt_coord = st.floats(min_value=-1.25, max_value=1.25, allow_nan=False)
@@ -174,3 +174,52 @@ def test_evaluation_rejects_wrong_variable_count():
         Poly.coordinate(0, 4)(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         evaluate([Poly.coordinate(0, 3), Poly.coordinate(0, 4)], np.zeros(4))
+
+
+# -- the plan cache ----------------------------------------------------
+
+
+def test_same_list_evaluates_to_the_same_bits():
+    rng = np.random.default_rng(11)
+    polys = [random_poly(rng, 3) for _ in range(5)]
+    pts = rng.normal(size=(40, 3))
+    first = evaluate(polys, pts)
+    hits = _plan.cache_info().hits
+    for got, again, p in zip(first, evaluate(list(polys), pts), polys):
+        assert_bitwise(again, got)
+        assert_bitwise(got, reference_eval(p, pts))
+    assert _plan.cache_info().hits == hits + 1
+
+
+def test_swapped_polynomial_gets_its_own_plan():
+    rng = np.random.default_rng(12)
+    polys = [random_poly(rng, 4, max_terms=10) for _ in range(4)]
+    pts = rng.normal(size=(7, 4))
+    evaluate(polys, pts)
+    swapped = polys[:2] + [random_poly(rng, 4, max_terms=10)] + polys[3:]
+    misses = _plan.cache_info().misses
+    for got, p in zip(evaluate(swapped, pts), swapped):
+        assert_bitwise(got, reference_eval(p, pts))
+    assert _plan.cache_info().misses == misses + 1
+    # equal terms in a new object are a new key too
+    twin = Poly(4, polys[0].terms)
+    assert_bitwise(evaluate([twin] + polys[1:], pts)[0], reference_eval(polys[0], pts))
+
+
+def test_permuted_columns_of_the_whole_table():
+    # q has every monomial of the table, in another order than the table
+    p = Poly(3, {(0, 0, 0): 0.3, (2, 0, 1): -1.7, (0, 1, 0): 0.9, (1, 1, 1): 2.3})
+    q = Poly(3, {(1, 1, 1): 0.5, (0, 1, 0): -2.0, (2, 0, 1): 1.1, (0, 0, 0): 1.25})
+    rng = np.random.default_rng(13)
+    for pts in point_batches(rng, 3):
+        for got, r in zip(evaluate([p, q], pts), [p, q]):
+            assert_bitwise(got, reference_eval(r, pts))
+    parts = _plan((p, q))[3]
+    assert parts[0][0] is None and list(parts[1][0]) == [3, 2, 1, 0]
+
+
+def test_plan_cache_is_bounded():
+    pts = np.ones(3)
+    for k in range(_PLANS + 10):
+        assert evaluate([Poly.constant(float(k), 3)], pts)[0] == k
+    assert _plan.cache_info().currsize <= _PLANS
