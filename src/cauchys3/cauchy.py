@@ -140,10 +140,6 @@ class SymEnd3Field:
         )
         return M, (d1, d2, d3)
 
-    def trace(self, points) -> np.ndarray:
-        pts = _as_array(points)
-        return sum(self.entries[i][i](pts) for i in range(3))
-
     # -- linear structure (for curves A + t Adot) ------------------------
     def _from_upper(self, fields) -> "SymEnd3Field":
         """The field with the six given upper entries, mirrored; a

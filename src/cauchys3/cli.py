@@ -287,6 +287,8 @@ def _parse_range(text: str) -> tuple:
     return lo, hi
 
 
+# an overflow anywhere in the probe or the export ends in FloatingPointError, not in warnings
+@np.errstate(over="raise")
 def cmd_cylinder(args, config: RunConfig) -> int:
     probe = None
     try:
@@ -317,7 +319,7 @@ def cmd_cylinder(args, config: RunConfig) -> int:
     except ValueError as exc:
         print(f"cylinder: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except OverflowError as exc:
+    except (OverflowError, FloatingPointError) as exc:
         print(f"cylinder: range too large for floating point: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

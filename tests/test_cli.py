@@ -3,11 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cauchys3.cli import (
     EXIT_INPUT,
@@ -156,7 +159,14 @@ def test_cylinder_nonfinite_range_rejected(argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["--t", "0..1e100"], ["--t", "0..1e200"], ["--s", "0.6..1e300"]], ids=" ".join
+    "argv",
+    [
+        ["--t", "0..1e100"],
+        ["--t", "0..1e200"],
+        ["--s", "0.6..1e300"],
+        ["--s", "0.6..1e160", "--probe-curvature"],
+    ],
+    ids=" ".join,
 )
 def test_cylinder_huge_range_rejected(argv, capsys):
     # finite, but the state or the export overflows floating point
@@ -164,6 +174,30 @@ def test_cylinder_huge_range_rejected(argv, capsys):
     assert code == EXIT_INPUT and out == ""
     err = capsys.readouterr().err
     assert err.startswith("cylinder: range too large for floating point: ") and err.count("\n") == 1
+
+
+_bound = st.one_of(st.floats(-1e300, 1e300), st.floats(-4.0, 4.0))
+
+
+@st.composite
+def _cylinder_range(draw):
+    flag = draw(st.sampled_from(["--t", "--s"]))
+    lo = draw(st.one_of(st.just(0.0), st.floats(0.5, 2.0), _bound))
+    argv = [f"{flag}={lo!r}..{draw(_bound)!r}"]
+    return argv + ["--probe-curvature"] if draw(st.booleans()) else argv
+
+
+@given(argv=_cylinder_range())
+@example(argv=["--s=0.6..1e160", "--probe-curvature"])
+@example(argv=["--t=0..1e154"])
+@settings(max_examples=40, deadline=None)
+def test_cylinder_range_ends_cleanly(argv):
+    # any finite range: a known exit code, no warning, strict JSON or nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(["cylinder"] + argv)
+    assert code in (EXIT_PASS, EXIT_TOLERANCE, EXIT_INPUT, EXIT_SINGULARITY)
+    assert out == "" or json.loads(out, parse_constant=_reject_constant)["schema"] == 1
 
 
 def test_rigidity():
