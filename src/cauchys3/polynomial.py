@@ -82,15 +82,6 @@ def power_table(points, width: int) -> np.ndarray:
     return table.reshape(pts.shape[:-1] + (width * pts.shape[-1],))
 
 
-def _monomials(table, index) -> np.ndarray:
-    """Every monomial of the index at every point: (..., monomials).
-
-    Each is the product of its factors over the variables, in variable
-    order, exactly as np.prod multiplies them.
-    """
-    return np.multiply.reduce(table.take(index, axis=-1), axis=-2)
-
-
 def _combine(mono, cols, coefs) -> np.ndarray:
     """sum_t coefs[t] * mono[..., cols[t]], over all of mono where cols
     is None.  The monomial array reaches the matrix-vector product
@@ -115,7 +106,8 @@ def evaluate(polys, points) -> list:
     nvars, index, width, parts = _plan(polys)
     if pts.shape[-1] != nvars:
         raise ValueError(f"points must have last dimension {nvars}")
-    mono = _monomials(power_table(pts, width), index)
+    # each monomial is the product of its factors in variable order, as np.prod multiplies them
+    mono = np.multiply.reduce(power_table(pts, width).take(index, axis=-1), axis=-2)
     return [_combine(mono, cols, coefs) if coefs.size else np.zeros(pts.shape[:-1]) for cols, coefs in parts]
 
 
@@ -123,8 +115,8 @@ class Poly:
     """Polynomial in ``nvars`` variables, stored as a monomial dict.
 
     Keys are exponent tuples of length ``nvars``; values are float
-    coefficients.  Instances are treated as immutable: all operations
-    return new polynomials.
+    coefficients.  Instances are treated as immutable, which the cached
+    evaluation plans rely on: all operations return new polynomials.
     """
 
     __slots__ = ("nvars", "terms")
