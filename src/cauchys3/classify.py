@@ -49,14 +49,18 @@ __all__ = [
 
 
 def constant_frame_residual(triple) -> np.ndarray:
-    """Cyclic residuals (a+1)(b+1) - 2(c+1), (b+1)(c+1) - 2(a+1), (a+1)(c+1) - 2(b+1)."""
-    a, b, c = (float(x) for x in triple)
-    return np.array(
+    """Cyclic residuals (a+1)(b+1) - 2(c+1), (b+1)(c+1) - 2(a+1), (a+1)(c+1) - 2(b+1).
+
+    Taken along the last axis, so ``triple`` may be a (..., 3) array.
+    """
+    a, b, c = np.moveaxis(np.asarray(triple, dtype=float), -1, 0)
+    return np.stack(
         [
             (a + 1) * (b + 1) - 2 * (c + 1),
             (b + 1) * (c + 1) - 2 * (a + 1),
             (a + 1) * (c + 1) - 2 * (b + 1),
-        ]
+        ],
+        axis=-1,
     )
 
 
@@ -77,44 +81,57 @@ def constant_frame_solutions() -> set:
 def constant_frame_solutions_bruteforce(grid: int = 13, span: float = 6.0) -> set:
     """Grid seeding plus Newton refinement; cross-checks the case split.
 
-    Scans a coarse grid in [-span, span]^3, runs Newton's method on the
-    cyclic system from each seed, and collects the distinct converged
-    roots (rounded to 1e-9).
+    Scans a grid of ``grid``^3 seeds in [-span, span]^3, runs Newton's
+    method on the cyclic system from each seed, and collects the
+    distinct converged roots (rounded to 1e-9).  Raises ValueError for
+    ``grid < 2`` or a span that is not a positive finite number.
     """
+    v, ok = _constant_frame_newton(grid, span)
+    return {tuple(root) for root in np.round(v[ok], 9) + 0.0}
 
-    def F(v):
-        return constant_frame_residual(v)
 
-    def J(v):
-        a, b, c = v
-        return np.array(
-            [
-                [b + 1, a + 1, -2.0],
-                [-2.0, c + 1, b + 1],
-                [c + 1, -2.0, a + 1],
-            ]
-        )
+def _constant_frame_newton(grid: int, span: float):
+    """Final Newton iterate (grid^3, 3) and converged flag of every seed.
 
-    roots = set()
+    The live seeds step together, one batched solve per iteration.  As in
+    a loop over seeds, a seed converges at max|f| < 1e-12 and is dropped
+    when its own solve raises LinAlgError, when its step is non-finite or
+    above 1e3, or after 60 steps.
+    """
+    if grid < 2 or not 0.0 < span < np.inf:
+        raise ValueError(f"need grid >= 2 and a positive finite span, got grid={grid}, span={span}")
     axis = np.linspace(-span, span, grid)
-    for seed in product(axis, repeat=3):
-        v = np.array(seed, dtype=float)
-        ok = False
-        for _ in range(60):
-            f = F(v)
-            if np.max(np.abs(f)) < 1e-12:
-                ok = True
-                break
-            try:
-                step = np.linalg.solve(J(v), f)
-            except np.linalg.LinAlgError:
-                break
-            if not np.all(np.isfinite(step)) or np.max(np.abs(step)) > 1e3:
-                break
-            v = v - step
-        if ok:
-            roots.add(tuple(np.round(v, 9) + 0.0))
-    return roots
+    v = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    ok = np.zeros(len(v), dtype=bool)
+    live = np.arange(len(v))
+    for _ in range(60):
+        f = constant_frame_residual(v[live])
+        done = np.max(np.abs(f), axis=1) < 1e-12
+        ok[live[done]] = True
+        live, f = live[~done], f[~done]
+        a, b, c = (v[live] + 1).T
+        m2 = np.full(len(live), -2.0)
+        jac = np.stack([b, a, m2, m2, c, b, c, m2, a], axis=-1).reshape(-1, 3, 3)
+        step = _solve_rows(jac, f)
+        keep = np.max(np.abs(step), axis=1) <= 1e3  # False for a NaN or inf step
+        live, step = live[keep], step[keep]
+        v[live] -= step
+    return v, ok
+
+
+def _solve_rows(jac, f):
+    """Solve jac[i] x = f[i] for every row; NaN where that row's own solve raises.
+
+    A batched solve raises LinAlgError when any of its matrices is exactly
+    singular, so a failing batch is halved until each such row stands alone.
+    """
+    try:
+        return np.linalg.solve(jac, f[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(f) == 1:
+            return np.full_like(f, np.nan)
+        h = len(f) // 2
+        return np.concatenate([_solve_rows(jac[:h], f[:h]), _solve_rows(jac[h:], f[h:])])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from cauchys3.cauchy import (
 from cauchys3.classify import (
     HopfReducedData,
     S2EndField,
+    _constant_frame_newton,
     codazzi_divfree_equiv,
     constant_frame_residual,
     constant_frame_solutions,
@@ -53,6 +54,64 @@ def test_constant_frame_solutions_case_split():
 def test_constant_frame_solutions_bruteforce_oracle():
     # grid + Newton refinement finds exactly the same set
     assert constant_frame_solutions_bruteforce() == EXPECTED_SOLUTIONS
+
+
+def _newton_seed_loop(grid, span):
+    """Reference oracle: one Newton loop per seed, on Python floats.
+
+    Returns every seed's final iterate, its converged flag and how often
+    the 3x3 solve raised LinAlgError.
+    """
+    from itertools import product
+
+    def residual(a, b, c):
+        return np.array(
+            [(a + 1) * (b + 1) - 2 * (c + 1), (b + 1) * (c + 1) - 2 * (a + 1), (a + 1) * (c + 1) - 2 * (b + 1)]
+        )
+
+    def jacobian(a, b, c):
+        return np.array([[b + 1, a + 1, -2.0], [-2.0, c + 1, b + 1], [c + 1, -2.0, a + 1]])
+
+    finals, flags, singular = [], [], 0
+    for seed in product(np.linspace(-span, span, grid), repeat=3):
+        v = np.array(seed, dtype=float)
+        ok = False
+        for _ in range(60):
+            a, b, c = (float(x) for x in v)
+            f = residual(a, b, c)
+            if np.max(np.abs(f)) < 1e-12:
+                ok = True
+                break
+            try:
+                step = np.linalg.solve(jacobian(a, b, c), f)
+            except np.linalg.LinAlgError:
+                singular += 1
+                break
+            if not np.all(np.isfinite(step)) or np.max(np.abs(step)) > 1e3:
+                break
+            v = v - step
+        finals.append(v)
+        flags.append(ok)
+    return np.array(finals), np.array(flags), singular
+
+
+@pytest.mark.parametrize("grid, span", [(9, 5.0), (13, 6.0)])
+def test_batched_newton_matches_seed_loop(grid, span):
+    # the batched oracle retires each seed exactly where the loop stops it
+    ref_v, ref_ok, singular = _newton_seed_loop(grid, span)
+    v, ok = _constant_frame_newton(grid, span)
+    assert np.array_equal(ok, ref_ok)
+    assert np.array_equal(v, ref_v)
+    ref_roots = {tuple(np.round(r, 9) + 0.0) for r in ref_v[ref_ok]}
+    assert constant_frame_solutions_bruteforce(grid, span) == ref_roots
+    assert singular > 0  # so the batch's fallback for singular Jacobians runs
+
+
+@pytest.mark.parametrize("grid, span", [(0, 6.0), (13, float("nan")), (13, 0.0)])
+def test_bruteforce_rejects_degenerate_input(grid, span):
+    # an empty grid would return an empty root set and prove nothing
+    with pytest.raises(ValueError):
+        constant_frame_solutions_bruteforce(grid, span)
 
 
 def test_sign_enumeration_oracle():

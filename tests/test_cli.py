@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +198,100 @@ def test_cylinder_range_ends_cleanly(argv):
         code, out = run_cli(["cylinder"] + argv)
     assert code in (EXIT_PASS, EXIT_TOLERANCE, EXIT_INPUT, EXIT_SINGULARITY)
     assert out == "" or json.loads(out, parse_constant=_reject_constant)["schema"] == 1
+
+
+_COORD = st.sampled_from(["a1", "a2", "a3", "a4"])
+_LINEAR = st.lists(_COORD, min_size=1, max_size=3).map(lambda v: f"({' + '.join(v)})")
+_COEF = st.one_of(st.integers(-9, 9).map(str), st.floats(-10.0, 10.0).map(repr))
+
+
+@st.composite
+def _poly_entry(draw):
+    # a sum of products of coefficients, coordinates and linear sums, each
+    # product of total degree <= 16
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors, budget = [draw(_COEF)], 16
+        for _ in range(draw(st.integers(0, 3))):
+            base = draw(st.one_of(_COORD, _LINEAR))
+            power = draw(st.integers(0, budget))
+            budget -= power
+            factors.append(base if power == 1 else f"{base}^{power}")
+        terms.append("*".join(factors))
+    return " + ".join(terms)
+
+
+@st.composite
+def _field_spec(draw):
+    head, n = draw(st.sampled_from([("diag", 3), ("sym", 6)]))
+    return f"{head}({', '.join(draw(st.lists(_poly_entry(), min_size=n, max_size=n)))})"
+
+
+def _run_argv_cleanly(argv):
+    """Exit code and stdout of main(argv); fails on a traceback, a warning or non-strict JSON."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code, out = run_cli(argv)
+        except SystemExit as exc:  # argparse rejects a malformed option
+            code, out = exc.code, ""
+    assert code in (EXIT_PASS, EXIT_TOLERANCE, EXIT_INPUT, EXIT_SINGULARITY)
+    assert "Traceback" not in err.getvalue()
+    assert out == "" or json.loads(out, parse_constant=_reject_constant)["schema"] == 1
+    return code, out
+
+
+@given(spec=_field_spec())
+@settings(max_examples=20, deadline=None)
+def test_verify_generated_field_spec_ends_cleanly(spec):
+    # any spec in the grammar parses and runs; only the identity-like ones pass
+    code, out = _run_argv_cleanly(["--samples", "20", "verify", "--expr", spec])
+    assert code in (EXIT_PASS, EXIT_TOLERANCE)
+    assert json.loads(out)["field"] == spec
+
+
+_NUMBER = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(1e-12, 0.99).map(repr),
+    st.sampled_from(["0", "-1", "1", "1e400", "x", ""]),
+)
+
+
+@st.composite
+def _run_options(draw):
+    argv = []
+    if draw(st.booleans()):
+        argv.append(f"--seed={draw(st.one_of(st.integers(-3, 2**70).map(str), st.sampled_from(['1.5', 'x'])))}")
+    if draw(st.booleans()):
+        argv.append(f"--samples={draw(st.one_of(st.integers(-3, 120).map(str), st.just('1e3')))}")
+    for flag in ("--tol", "--fd-step"):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(_NUMBER)}")
+    command = draw(
+        st.sampled_from(
+            [
+                ["verify", "--builtin", "left-133"],
+                ["verify", "--expr", "sym(a1, 0, 0, a2, 0, a3)"],
+                ["classify"],
+                ["classify", "--grid-oracle"],
+                ["deform"],
+                ["rigidity"],
+            ]
+        )
+    )
+    return argv + command
+
+
+@given(argv=_run_options())
+@example(argv=["--seed=1180591620717411303424", "--samples=1", "rigidity"])
+@example(argv=["--tol=5e-324", "--fd-step=5e-324", "--samples=3", "deform"])
+@settings(max_examples=20, deadline=None)
+def test_run_options_end_cleanly(argv):
+    # any value of the shared options: a known exit code and strict JSON or
+    # nothing, and an option out of range is an input error with no output
+    code, out = _run_argv_cleanly(argv)
+    assert (code == EXIT_INPUT) == (out == "")
 
 
 def test_rigidity():
