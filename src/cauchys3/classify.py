@@ -369,12 +369,6 @@ def _fd_local(values, h) -> tuple:
     return values[..., -1, :, :], diffs
 
 
-def _evaluate(polys, p) -> np.ndarray:
-    """polys at p (..., 3) as (..., len(polys)).  Each point is a batch of
-    one, so it reduces its terms as a lone point does (see `polynomial`)."""
-    return np.stack(evaluate(polys, p[..., None, :]), axis=-1)[..., 0, :]
-
-
 class S2EndField:
     """Endomorphism field on the unit S^2, stored ambiently.
 
@@ -409,7 +403,7 @@ class S2EndField:
         p = np.asarray(p, dtype=float)
         if self.mats is None:
             return np.asarray(self.func(p), dtype=float)
-        return _evaluate(self._entries, p).reshape(p.shape[:-1] + (3, 3))
+        return np.stack(evaluate(self._entries, p), axis=-1).reshape(p.shape[:-1] + (3, 3))
 
     def value(self, p) -> np.ndarray:
         """Tangential value P M P at p (p need not be exactly unit)."""
@@ -420,7 +414,7 @@ class S2EndField:
         """M at p, M at normalize(p) and D_x M at p for x in dirs (exact mode)."""
         if self._grads is None:
             self._grads = [g for e in self._entries for g in e.gradient()]
-        vals = _evaluate(self._entries + self._grads, np.stack([p, _normalize(p)], axis=-2))
+        vals = np.stack(evaluate(self._entries + self._grads, np.stack([p, _normalize(p)], axis=-2)), axis=-1)
         M = vals[..., :9].reshape(p.shape[:-1] + (2, 3, 3))
         G = vals[..., 0, 9:].reshape(p.shape[:-1] + (3, 3, 3))
         # ((0 + G_0 x_0) + G_1 x_1) + G_2 x_2, the order of the one-point sum

@@ -8,25 +8,24 @@ polynomials, so iterated frame derivatives stay exact.
 All evaluation runs through :func:`evaluate`; ``Poly.__call__`` is
 ``evaluate`` of a one-polynomial list.  A list is compiled once into a
 plan: the distinct monomials of all its polynomials, their positions in
-the power table, and each polynomial's monomial columns and coefficient
-vector.  Plans are kept by the list's polynomials themselves (``Poly``
-compares by identity and is immutable), in one cache of ``_PLANS``
-lists.  A point batch becomes a single power table ``x_v ** k`` (every
-variable v, every k up to the largest exponent in use), computed once
-with ``np.power``.  Each distinct monomial is gathered from that table
-and multiplied out over the variables in variable order; a polynomial
-is the contiguous array of its monomials times its coefficient vector.
-The values are bit-identical to evaluating ``prod(x ** exps) @ coefs``
-one polynomial at a time at the same point shape, while ``pow`` is
-called once per (point, variable, power) instead of once per (point,
-term, variable).
+the power table, and the terms of the polynomials taken term index by
+term index.  Plans are kept by the list's polynomials themselves
+(``Poly`` compares by identity and is immutable), in one cache of
+``_PLANS`` lists.
 
-The bits of a point's value can depend on the batch it is in.  A lone
-point of shape (nvars,) reduces its terms with one dot product (BLAS
-ddot); a batch of shape (n, nvars) reduces them with one matrix-vector
-product (gemv), which can round differently.  Points of shape
-(..., 1, nvars) are batches of one, so each reduces by ddot and keeps
-the bits it has when evaluated alone.
+Every value is formed in one fixed order, whatever the batch:
+
+- powers by a product chain, x^k = x^(k-1) * x;
+- each distinct monomial as the product of its factors in variable
+  order, formed once for all the polynomials that share it;
+- each polynomial as ((0 + c_0 m_0) + c_1 m_1) + ..., its terms in
+  their order in ``Poly.terms``.
+
+The points are taken in blocks of ``_BLOCK`` rows, and every step is an
+elementwise numpy operation on a (monomial, point) layout: no step sums
+across points, and none calls BLAS, so a point's value has the same
+bits alone, at any position of any batch, and under any SIMD or BLAS
+kernel.
 """
 
 from __future__ import annotations
@@ -35,22 +34,29 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["Poly", "power_table", "evaluate"]
+__all__ = ["Poly", "evaluate"]
 
 # polynomial lists whose plans are kept.  A plan keeps its polynomials
 # alive, and callers that build fresh fields per call (deformation_report)
 # would otherwise hold every call's polynomials.
 _PLANS = 64
 
+# points per block: the temporaries of one block stay in cache
+_BLOCK = 4096
+
 
 @lru_cache(maxsize=_PLANS)
 def _plan(polys: tuple) -> tuple:
-    """(nvars, index, width, parts) for a tuple of polynomials.
+    """(nvars, width, index, cols, coefs, steps, rank) for a tuple of polynomials.
 
-    Row v of the index holds the table positions e_v * nvars + v of the
-    distinct monomials' factors in variable v: shape (nvars, monomials).
-    parts holds, per polynomial, its monomial columns (None where they
-    are the whole table in order) and its coefficient vector.
+    Row v of the index holds the rows e_v * nvars + v of the distinct
+    monomials' factors x_v ** e_v in the power table, which holds
+    x_v ** k at row k * nvars + v: shape (nvars, monomials).
+    The polynomials get rows ranked by term count, most terms first
+    (stably; rank[i] is polynomial i's row), so the term t of every
+    polynomial that has one is a prefix of the rows.  cols and coefs
+    list those terms' monomials and coefficients step by step: step t
+    is the rows [lo, hi) of them and adds into the first hi - lo rows.
     """
     nvars = polys[0].nvars
     columns: dict[tuple, int] = {}
@@ -61,54 +67,54 @@ def _plan(polys: tuple) -> tuple:
             columns.setdefault(e, len(columns))
     exps = np.array(list(columns), dtype=np.intp).reshape(len(columns), nvars)
     index = (exps * nvars + np.arange(nvars)).T
-    parts = []
-    for p in polys:
-        cols = np.fromiter(map(columns.__getitem__, p.terms), np.intp, len(p.terms))
-        if np.array_equal(cols, np.arange(len(columns))):
-            cols = None
-        parts.append((cols, np.fromiter(p.terms.values(), float, len(p.terms))))
-    return nvars, index, int(exps.max(initial=0)) + 1, parts
-
-
-def power_table(points, width: int) -> np.ndarray:
-    """Powers x_v ** k for 0 <= k < width, flattened over (k, v).
-
-    points has shape (..., nvars); the result has shape
-    (..., width * nvars) with x_v ** k at index k * nvars + v, so a
-    monomial's table positions do not depend on the width.
-    """
-    pts = np.asarray(points, dtype=float)
-    table = np.power(pts[..., None, :], np.arange(width, dtype=float)[:, None])
-    return table.reshape(pts.shape[:-1] + (width * pts.shape[-1],))
-
-
-def _combine(mono, cols, coefs) -> np.ndarray:
-    """sum_t coefs[t] * mono[..., cols[t]], over all of mono where cols
-    is None.  The monomial array reaches the matrix-vector product
-    contiguous, as np.prod leaves it, so BLAS adds the terms in the same
-    order."""
-    if cols is not None:
-        mono = mono.take(cols, axis=-1)
-    return np.ascontiguousarray(mono) @ coefs
+    order = sorted(range(len(polys)), key=lambda i: -len(polys[i].terms))
+    terms = [list(polys[i].terms.items()) for i in order]
+    steps, flat = [], []
+    for t in range(len(terms[0])):
+        live = [ts[t] for ts in terms if len(ts) > t]
+        steps.append((len(flat), len(flat) + len(live)))
+        flat += live
+    cols = np.array([columns[e] for e, _ in flat], dtype=np.intp)
+    coefs = np.array([c for _, c in flat]).reshape(-1, 1)
+    rank = np.argsort(order).tolist()
+    return nvars, int(exps.max(initial=0)) + 1, index, cols, coefs, steps, rank
 
 
 def evaluate(polys, points) -> list:
     """Evaluate every polynomial in `polys` at points (..., nvars).
 
     One power table serves them all, and a monomial that several of them
-    share is formed once.  Returns one array of shape (...) per
-    polynomial, bit-identical to evaluating each polynomial on its own.
+    share is formed once.  Returns one value of shape (...) per
+    polynomial, in the fixed order of the module docstring.
     """
     polys = tuple(polys)
     if not polys:
         return []
     pts = np.asarray(points, dtype=float)
-    nvars, index, width, parts = _plan(polys)
+    nvars, width, index, cols, coefs, steps, rank = _plan(polys)
     if pts.shape[-1] != nvars:
         raise ValueError(f"points must have last dimension {nvars}")
-    # each monomial is the product of its factors in variable order, as np.prod multiplies them
-    mono = np.multiply.reduce(power_table(pts, width).take(index, axis=-1), axis=-2)
-    return [_combine(mono, cols, coefs) if coefs.size else np.zeros(pts.shape[:-1]) for cols, coefs in parts]
+    rows = pts.reshape(-1, nvars)
+    out = np.zeros((len(polys), len(rows)))
+    for start in range(0, len(rows), _BLOCK):
+        x = rows[start : start + _BLOCK].T
+        table = np.empty((width,) + x.shape)  # x_v ** k at [k, v], by the chain x^k = x * x^(k-1)
+        table[0] = 1.0
+        table[1:] = x
+        for k in range(2, width):
+            np.multiply(table[k], table[k - 1], out=table[k])
+        factors = table.reshape(width * nvars, -1).take(index, axis=0)
+        mono = factors[0]
+        for v in range(1, nvars):
+            mono *= factors[v]
+        terms = mono.take(cols, axis=0)
+        terms *= coefs
+        acc = out[:, start : start + _BLOCK]
+        for lo, hi in steps:
+            head = acc[: hi - lo]
+            head += terms[lo:hi]
+    vals = list(out.reshape((len(polys),) + pts.shape[:-1]))
+    return [vals[r] for r in rank]
 
 
 class Poly:

@@ -11,7 +11,10 @@ op results, kept in kilobytes instead of arrays.
 The digests hold only where the last bits cannot move: the environment
 recorded with them (see `tests/test_golden.py`) must match this
 interpreter's, or the test skips and names what differs.  Elsewhere the
-golden CLI outputs still compare by value.  The file is not regenerated
+golden CLI outputs still compare by value.  What needs no recorded
+environment is checked on any machine: the digests that child processes
+compute with numpy's SIMD dispatch off, or with OpenBLAS's oldest x86
+kernels, equal those of a child with the default environment.  The file is not regenerated
 to make a change pass: a change that alters results on purpose records
 it in its own commit (`python tests/test_golden_ops.py --write`, about
 2 s) and explains the diff.
@@ -20,6 +23,8 @@ it in its own commit (`python tests/test_golden_ops.py --write`, about
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -95,6 +100,49 @@ def test_ops_cover_every_op():
     assert list(recorded["ops"]) == WORKLOADS
     assert all(list(by_seed) == [str(s) for s in SEEDS] for by_seed in recorded["ops"].values())
     assert sum(len(ops) for by_seed in recorded["ops"].values() for ops in by_seed.values()) == 84
+
+
+# the environments a CPU can put a child in: numpy's AVX2 and AVX-512
+# kernels off, and OpenBLAS's kernels for the oldest x86_64 cores
+CPU_VARIANTS = {
+    "simd-off": {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"},
+    "prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+}
+# cylinder-s2's S^2 ops multiply 3x3 matrices with `@`, which BLAS rounds
+# as its kernel chooses
+BLAS_OPS = {"s2_rigidity:identity", "s2_rigidity:perturbed", "codazzi_divfree_equiv:fd"}
+
+
+def _start_child(extra: dict) -> subprocess.Popen:
+    """A process that prints the seed-1 digests of every workload and the
+    SIMD targets numpy found, as JSON."""
+    root = GOLDEN.parent.parent
+    path = [str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **extra)
+    code = (
+        "import json; from test_golden import environment; from test_golden_ops import op_digests, WORKLOADS; "
+        "env = environment(); "
+        "print(json.dumps({'simd': env and env['simd_found'], 'ops': {w: op_digests(w, 1) for w in WORKLOADS}}))"
+    )
+    return subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def test_op_digests_do_not_depend_on_the_cpu():
+    children = {name: _start_child(extra) for name, extra in [("default", {}), *CPU_VARIANTS.items()]}
+    results = {}
+    for name, child in children.items():
+        out, err = child.communicate(timeout=600)
+        assert child.returncode == 0, err.decode()[-2000:]
+        results[name] = json.loads(out)
+    base = results.pop("default")["ops"]
+    assert list(base) == WORKLOADS and all(base.values())
+    simd_off = results["simd-off"]["simd"]
+    assert simd_off is None or not set(simd_off) & set(CPU_VARIANTS["simd-off"]["NPY_DISABLE_CPU_FEATURES"].split())
+    for name, result in results.items():
+        ops = result["ops"]
+        skip = BLAS_OPS if name == "prescott" else set()
+        moved = [f"{w}:{op}" for w in WORKLOADS for op in base[w] if op not in skip and ops[w][op] != base[w][op]]
+        assert moved == [], name
 
 
 def test_other_environment_skips_and_names_it(monkeypatch):

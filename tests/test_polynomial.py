@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchys3.polynomial import _PLANS, Poly, _plan, evaluate, power_table
+from cauchys3 import polynomial
+from cauchys3.polynomial import _PLANS, Poly, _plan, evaluate
 
 coeff = st.floats(min_value=-4, max_value=4, allow_nan=False)
 pt_coord = st.floats(min_value=-1.25, max_value=1.25, allow_nan=False)
@@ -74,14 +75,28 @@ def test_power():
 
 
 def reference_eval(p, points):
-    """One pow per (point, term, variable), multiplied out with np.prod:
-    the direct formula the shared-table kernel must reproduce bit for bit."""
+    """Python floats, point by point: x^k by the chain x^(k-1) * x, each
+    monomial the product of its factors in variable order, and the terms
+    added to 0.0 one by one in term order (a loop, not sum(), which may
+    compensate).  Independent of `evaluate`."""
     pts = np.asarray(points, dtype=float)
-    if not p.terms:
-        return np.zeros(pts.shape[:-1])
-    exps = np.array(list(p.terms), dtype=np.int64)
-    coefs = np.array(list(p.terms.values()), dtype=float)
-    return np.prod(pts[..., None, :] ** exps, axis=-1) @ coefs
+    out = np.zeros(pts.shape[:-1])
+    width = max((max(e) for e in p.terms), default=0) + 1
+    for idx in np.ndindex(out.shape):
+        powers = []
+        for x in pts[idx].tolist():
+            chain = [1.0]
+            for _ in range(1, width):
+                chain.append(chain[-1] * x)
+            powers.append(chain)
+        acc = 0.0
+        for exps, c in p.terms.items():
+            m = powers[0][exps[0]]
+            for v in range(1, len(exps)):
+                m = m * powers[v][exps[v]]
+            acc = acc + c * m
+        out[idx] = acc
+    return out
 
 
 def random_poly(rng, nvars, max_terms=40, max_exp=5):
@@ -128,21 +143,31 @@ def test_shared_table_matches_reference_bit_for_bit(nvars):
                 assert_bitwise(got, reference_eval(p, pts))
 
 
-def test_point_bits_depend_on_batch_shape():
-    # one point reduces its terms by ddot, an (n, nvars) batch by gemv;
-    # (n, 1, nvars) makes every point a batch of one and keeps its bits
-    from cauchys3.classify import random_s2_points
+@pytest.fixture(scope="module")
+def lone_points():
+    """Nine polynomials, 4103 points and each point's values evaluated alone."""
+    rng = np.random.default_rng(31)
+    polys = [random_poly(rng, 4) for _ in range(8)] + [Poly(4, {})]
+    pts = rng.normal(size=(4103, 4))
+    alone = np.array([evaluate(polys, x) for x in pts])
+    for p, col in zip(polys[:2], alone.T):
+        assert_bitwise(col[:50], reference_eval(p, pts[:50]))
+    return polys, pts, alone
 
-    p = Poly(3, {(0, 0, 0): 0.3, (1, 0, 0): -1.7, (0, 1, 0): 0.9, (0, 0, 1): 2.3})
-    pts = random_s2_points(100, seed=1)
-    alone = np.array([p(x) for x in pts])
-    assert_bitwise(p(pts[:, None, :])[:, 0], alone)
-    assert_bitwise(evaluate([p], pts[:, None, :])[0][:, 0], alone)
-    batch = p(pts)
-    assert_bitwise(evaluate([p], pts)[0], batch)
-    assert np.max(np.abs(batch - alone)) < 1e-15  # a last-bit difference
-    if np.array_equal(batch, alone):  # whether gemv and ddot differ is the BLAS kernel's choice
-        pytest.skip("this BLAS rounds the (n, nvars) batch as it rounds each point")
+
+@pytest.mark.parametrize("block, n", [(1, 120), (7, 120), (4096, 4103)])
+def test_point_bits_do_not_depend_on_batch(monkeypatch, lone_points, block, n):
+    # a point alone, and at every position of an (n, d) and an (a, b, d)
+    # batch cut into blocks of 1, 7 or 4096 rows, gets the same bits
+    polys, pts, alone = lone_points
+    pts, alone = pts[:n], alone[:n]
+    monkeypatch.setattr(polynomial, "_BLOCK", block)
+    assert_bitwise(np.stack(evaluate(polys, pts), axis=-1), alone)
+    assert_bitwise(np.stack(evaluate(polys, pts[5:]), axis=-1), alone[5:])
+    m = n // 8
+    grid = pts[: 8 * m].reshape(8, m, 4)
+    assert_bitwise(np.stack(evaluate(polys, grid), axis=-1), alone[: 8 * m].reshape(8, m, -1))
+    assert_bitwise(polys[0](grid[3:, 1:]), alone[: 8 * m, 0].reshape(8, m)[3:, 1:])
 
 
 def test_zero_and_constant_polynomials():
@@ -158,15 +183,6 @@ def test_zero_and_constant_polynomials():
             assert_bitwise(shared[0], zero(pts))
             assert_bitwise(shared[1], const(pts))
     assert evaluate([], np.zeros((2, 4))) == []
-
-
-def test_power_table_layout():
-    pts = np.array([[2.0, -3.0, 0.5], [1.0, 0.0, -1.0]])
-    table = power_table(pts, 3)
-    assert table.shape == (2, 9)
-    for k in range(3):
-        for v in range(3):
-            assert np.array_equal(table[:, 3 * k + v], pts[:, v] ** k)
 
 
 def test_evaluation_rejects_wrong_variable_count():
@@ -214,8 +230,6 @@ def test_permuted_columns_of_the_whole_table():
     for pts in point_batches(rng, 3):
         for got, r in zip(evaluate([p, q], pts), [p, q]):
             assert_bitwise(got, reference_eval(r, pts))
-    parts = _plan((p, q))[3]
-    assert parts[0][0] is None and list(parts[1][0]) == [3, 2, 1, 0]
 
 
 def test_plan_cache_is_bounded():
