@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import BergerParams, _pow, curvature_berger, gamma_berger_orthonormal, wedge_endo
+from .tensor import BergerParams, curvature_berger, gamma_berger_orthonormal, wedge_endo
 
 __all__ = [
     "reduced_rhs",
@@ -34,7 +34,6 @@ __all__ = [
     "closed_form",
     "t_of_s",
     "boundary_distance_exact",
-    "boundary_distance_quadrature",
     "CylinderState",
     "CylinderProfile",
     "SingularityReached",
@@ -72,8 +71,8 @@ def second_derivatives(a, b) -> tuple:
     if np.any(np.less_equal(a, 0)) or np.any(np.less_equal(b, 0)):
         raise ValueError("a and b must be positive")
     ad, bd = _rhs(a, b)
-    b2 = _pow(b, 2)
-    return -2.0 * a * ad / b2 + 2.0 * _pow(a, 2) * bd / _pow(b, 3), ad / b - a * bd / b2
+    b2 = b * b
+    return -2.0 * a * ad / b2 + 2.0 * (a * a) * bd / (b2 * b), ad / b - a * bd / b2
 
 
 def full_system_residual(a: float, b: float, adot: float, bdot: float) -> tuple:
@@ -119,14 +118,6 @@ def boundary_distance_exact() -> float:
     """(sqrt(2) - ln(1 + sqrt(2))) / (2 sqrt(2)), about 0.1884."""
     r2 = np.sqrt(2.0)
     return (r2 - np.log(1.0 + r2)) / (2.0 * r2)
-
-
-def boundary_distance_quadrature() -> float:
-    """integral_{1/2}^1 sqrt((2s-1)/(4s)) ds by adaptive quadrature (needs scipy)."""
-    from scipy.integrate import quad
-
-    val, _ = quad(lambda s: np.sqrt((2 * s - 1) / (4 * s)), 0.5, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200)
-    return val
 
 
 @dataclass(frozen=True)
@@ -442,10 +433,11 @@ def ricci_4d(a, b, adot, bdot, addot, bddot) -> np.ndarray:
       R11 = -addot/a - 2 adot bdot/(a b) + 2 a^2/b^4
       R22 = R33 = -bddot/b - (bdot/b)^2 - adot bdot/(a b) + 4/b^2 - 2 a^2/b^4
     """
-    a2, b4 = _pow(a, 2), _pow(b, 4)
+    a2, b2, q = a * a, b * b, bdot / b
+    b4 = b2 * b2
     r00 = -addot / a - 2 * bddot / b
     r11 = -addot / a - 2 * adot * bdot / (a * b) + 2 * a2 / b4
-    r22 = -bddot / b - _pow(bdot / b, 2) - adot * bdot / (a * b) + 4 / _pow(b, 2) - 2 * a2 / b4
+    r22 = -bddot / b - q * q - adot * bdot / (a * b) + 4 / b2 - 2 * a2 / b4
     diagonal = np.stack(np.broadcast_arrays(r00, r11, r22, r22), axis=-1)
     out = np.zeros(diagonal.shape + (4,))
     out[..., range(4), range(4)] = diagonal
@@ -468,16 +460,24 @@ def sectional_curvatures(a, b, adot, bdot, addot, bddot) -> np.ndarray:
     """
     k01 = -addot / a
     k02 = -bddot / b
-    a2, b4 = _pow(a, 2), _pow(b, 4)
+    a2, b2, q = a * a, b * b, bdot / b
+    b4 = b2 * b2
     k12 = a2 / b4 - adot * bdot / (a * b)
-    k23 = 4 / _pow(b, 2) - 3 * a2 / b4 - _pow(bdot / b, 2)
+    k23 = 4 / b2 - 3 * a2 / b4 - q * q
     return np.stack(np.broadcast_arrays(k01, k02, k02, k12, k12, k23), axis=-1)
 
 
 def curvature_blowup_probe(s_values) -> np.ndarray:
-    """Max |sectional curvature| over frame planes at each s (closed form)."""
-    a, b = closed_form(np.asarray(s_values, dtype=float))
-    return np.max(np.abs(sectional_curvatures(a, b, *_rhs(a, b), *second_derivatives(a, b))), axis=-1)
+    """Max |sectional curvature| over frame planes at each s > 1/2.
+
+    On the orbit the frame-plane sectionals are -8, 4, 4, 4, 4, -8 over
+    (2s-1)^3, so this is 8/(2s-1)^3, free of the cancellation that
+    `sectional_curvatures` suffers at large s."""
+    s = np.asarray(s_values, dtype=float)
+    if np.any(s <= S_MIN):
+        raise ValueError("the probe requires s > 1/2")
+    u = 2.0 * s - 1.0
+    return 8.0 / (u * u * u)
 
 
 def trajectory_rows(profile: CylinderProfile) -> list:
@@ -493,9 +493,9 @@ def trajectory_rows(profile: CylinderProfile) -> list:
     t, a, b, ad, bd = (v[order] for v in (profile.t, profile.a, profile.b, profile.adot, profile.bdot))
     add, bdd = second_derivatives(a, b)
     res = np.max(np.abs(slice_residual(a, b, ad, bd)), axis=(-2, -1))
-    # one np.linalg.norm per node: its BLAS dot sums the squares in an order
-    # of its own, which a batched sum does not reproduce bit for bit
-    ric = np.array([np.linalg.norm(m) for m in ricci_4d(a, b, ad, bd, add, bdd)])
+    # the Frobenius norm of the diagonal Ricci tensor, its squares added in index order
+    r = np.diagonal(ricci_4d(a, b, ad, bd, add, bdd), axis1=-2, axis2=-1)
+    ric = np.sqrt(r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1] + r[:, 2] * r[:, 2] + r[:, 3] * r[:, 3])
     scale = 1.0 + np.max(np.abs(sectional_curvatures(a, b, ad, bd, add, bdd)), axis=-1)
     names = ("t", "s", "a", "b", "adot", "bdot", "conserved", "slice_residual_max", "ricci_norm")
     names += ("slice_residual_rel", "ricci_norm_rel")

@@ -16,7 +16,6 @@ The star is the identity on storage; `hat`/`unhat` convert between the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -139,14 +138,6 @@ class BergerParams:
             raise ValueError("Berger parameters must be positive")
 
 
-def _pow(x, k: int):
-    """x**k by the C library's pow, element by element, as Python's float ** does: numpy's
-    array power and square round some inputs otherwise, and batched formulas keep their bits."""
-    if not isinstance(x, np.ndarray):
-        return x**k
-    return np.fromiter(map(pow, x.ravel().tolist(), repeat(float(k))), float, x.size).reshape(x.shape)
-
-
 def gamma_berger(p: BergerParams) -> list[np.ndarray]:
     """Connection matrices of the Berger metric in the Hopf frame.
 
@@ -154,7 +145,7 @@ def gamma_berger(p: BergerParams) -> list[np.ndarray]:
     nabla^t_{e_{a+1}} e_{k+1}; the left-invariant bracket table is
     assumed (the Hopf frame is left-invariant).
     """
-    r = _pow(p.a, 2) / _pow(p.b, 2)
+    r = (p.a * p.a) / (p.b * p.b)
     g1, g2, g3 = np.zeros((3,) + np.shape(r) + (3, 3))
     g1[..., 2, 1] = 2.0 - r  # nabla_{e1} e2 = (2 - a^2/b^2) e3
     g1[..., 1, 2] = r - 2.0
@@ -191,10 +182,11 @@ def curvature_berger(p: BergerParams, a: int, b: int):
     with g_t.  Only frame pairs are supported; array scales give an array.
     """
     pair = tuple(sorted((a, b)))
+    a2, b2 = p.a * p.a, p.b * p.b
     if pair == (1, 2) or pair == (1, 3):
-        return -_pow(p.a, 2) / _pow(p.b, 4)
+        return -a2 / (b2 * b2)
     if pair == (2, 3):
-        return (3.0 * _pow(p.a, 2) - 4.0 * _pow(p.b, 2)) / _pow(p.b, 4)
+        return (3.0 * a2 - 4.0 * b2) / (b2 * b2)
     raise ValueError("expected a frame pair from {1,2,3}")
 
 

@@ -12,6 +12,7 @@ from contextlib import redirect_stdout
 
 import numpy as np
 from conftest import ACCEPTANCE_LINES
+from test_cylinder import boundary_distance_quadrature
 
 from cauchys3 import cylinder as cyl
 from cauchys3.cauchy import (
@@ -194,7 +195,7 @@ def test_criterion_07_boundary_distance():
             abs(reached - exact) < 1e-4,
             f"ODE boundary distance {reached:.7f} vs exact {exact:.7f}",
         )
-        quadrature = cyl.boundary_distance_quadrature()
+        quadrature = boundary_distance_quadrature()
         c.check(
             abs(quadrature - exact) < 1e-8,
             f"quadrature reproduces the closed form to {abs(quadrature - exact):.1e}",

@@ -115,6 +115,18 @@ def test_cylinder_probe():
     assert norms[-1] / norms[0] > 10.0
 
 
+def test_cylinder_probe_over_a_wide_range():
+    # the closed form resolves 8/(2s-1)^3 down to 1e-150, where the
+    # sectional curvatures cancel to rounding noise
+    code, out = run_cli(["cylinder", "--s", "0.6..1e50", "--probe-curvature"])
+    assert code == EXIT_PASS
+    norms = json.loads(out)["probe_curvature_norm"]
+    assert len(norms) == 8 and all(a < b for a, b in zip(norms, norms[1:]))
+    assert norms[0] == pytest.approx(1e-150, rel=1e-12)
+    code, out = run_cli(["cylinder", "--s", "0.6..1e300", "--probe-curvature"])
+    assert code == EXIT_INPUT and out == ""
+
+
 @pytest.mark.parametrize("npoints", ["1", "0", "-3"])
 def test_cylinder_probe_needs_two_points(npoints, capsys):
     # strict increase over fewer than two values would be a vacuous pass
