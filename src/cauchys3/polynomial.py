@@ -41,22 +41,21 @@ __all__ = ["Poly", "evaluate"]
 # would otherwise hold every call's polynomials.
 _PLANS = 64
 
-# points per block: the temporaries of one block stay in cache
+# points per block, which bounds the temporaries (monomials by points)
 _BLOCK = 4096
 
 
 @lru_cache(maxsize=_PLANS)
 def _plan(polys: tuple) -> tuple:
-    """(nvars, width, index, cols, coefs, steps, rank) for a tuple of polynomials.
+    """(nvars, width, index, steps, rank) for a tuple of polynomials.
 
     Row v of the index holds the rows e_v * nvars + v of the distinct
     monomials' factors x_v ** e_v in the power table, which holds
     x_v ** k at row k * nvars + v: shape (nvars, monomials).
     The polynomials get rows ranked by term count, most terms first
-    (stably; rank[i] is polynomial i's row), so the term t of every
-    polynomial that has one is a prefix of the rows.  cols and coefs
-    list those terms' monomials and coefficients step by step: step t
-    is the rows [lo, hi) of them and adds into the first hi - lo rows.
+    (stably; rank[i] is polynomial i's row), so the polynomials that
+    have a term t are the first k rows.  steps[t] is (k, those terms'
+    monomial columns, their coefficients as a column).
     """
     nvars = polys[0].nvars
     columns: dict[tuple, int] = {}
@@ -69,15 +68,13 @@ def _plan(polys: tuple) -> tuple:
     index = (exps * nvars + np.arange(nvars)).T
     order = sorted(range(len(polys)), key=lambda i: -len(polys[i].terms))
     terms = [list(polys[i].terms.items()) for i in order]
-    steps, flat = [], []
+    steps = []
     for t in range(len(terms[0])):
         live = [ts[t] for ts in terms if len(ts) > t]
-        steps.append((len(flat), len(flat) + len(live)))
-        flat += live
-    cols = np.array([columns[e] for e, _ in flat], dtype=np.intp)
-    coefs = np.array([c for _, c in flat]).reshape(-1, 1)
+        cols = np.array([columns[e] for e, _ in live], dtype=np.intp)
+        steps.append((len(live), cols, np.array([c for _, c in live]).reshape(-1, 1)))
     rank = np.argsort(order).tolist()
-    return nvars, int(exps.max(initial=0)) + 1, index, cols, coefs, steps, rank
+    return nvars, int(exps.max(initial=0)) + 1, index, steps, rank
 
 
 def evaluate(polys, points) -> list:
@@ -91,7 +88,7 @@ def evaluate(polys, points) -> list:
     if not polys:
         return []
     pts = np.asarray(points, dtype=float)
-    nvars, width, index, cols, coefs, steps, rank = _plan(polys)
+    nvars, width, index, steps, rank = _plan(polys)
     if pts.shape[-1] != nvars:
         raise ValueError(f"points must have last dimension {nvars}")
     rows = pts.reshape(-1, nvars)
@@ -103,16 +100,16 @@ def evaluate(polys, points) -> list:
         table[1:] = x
         for k in range(2, width):
             np.multiply(table[k], table[k - 1], out=table[k])
-        factors = table.reshape(width * nvars, -1).take(index, axis=0)
-        mono = factors[0]
+        table = table.reshape(width * nvars, -1)
+        mono = table.take(index[0], axis=0)
         for v in range(1, nvars):
-            mono *= factors[v]
-        terms = mono.take(cols, axis=0)
-        terms *= coefs
+            mono *= table.take(index[v], axis=0)
         acc = out[:, start : start + _BLOCK]
-        for lo, hi in steps:
-            head = acc[: hi - lo]
-            head += terms[lo:hi]
+        for k, cols, coefs in steps:
+            terms = mono.take(cols, axis=0)
+            terms *= coefs
+            head = acc[:k]
+            head += terms
     vals = list(out.reshape((len(polys),) + pts.shape[:-1]))
     return [vals[r] for r in rank]
 

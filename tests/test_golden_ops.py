@@ -14,8 +14,8 @@ interpreter's, or the test skips and names what differs.  Elsewhere the
 golden CLI outputs still compare by value.  What needs no recorded
 environment is checked on any machine: the digests that child processes
 compute with numpy's SIMD dispatch off, or with OpenBLAS's oldest x86
-kernels, equal those of a child with the default environment.  The file is not regenerated
-to make a change pass: a change that alters results on purpose records
+kernels, equal those of a child with the default environment.  The
+file is not regenerated to make a change pass: a change that alters results on purpose records
 it in its own commit (`python tests/test_golden_ops.py --write`, about
 2 s) and explains the diff.
 """
