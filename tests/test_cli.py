@@ -443,7 +443,7 @@ def test_canonical_json_17_digits():
     assert canonical_json({"n": 3}) == '{\n  "n": 3\n}'
 
 
-# the nine invocations of the README's command list
+# the ten invocations of the README's command list
 README_INVOCATIONS = [
     ["verify", "--builtin", "left-133"],
     ["verify", "--expr", "diag(2,2,2)"],
@@ -452,6 +452,7 @@ README_INVOCATIONS = [
     ["deform"],
     ["cylinder", "--t", "0..3"],
     ["cylinder", "--to-singularity"],
+    ["cylinder", "--s", "0.6..0.9"],
     ["cylinder", "--s", "0.51..0.9", "--probe-curvature"],
     ["rigidity"],
 ]
@@ -481,5 +482,5 @@ def test_readme_invocations_never_import_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["codes"] == [EXIT_PASS, EXIT_TOLERANCE, EXIT_TOLERANCE] + [EXIT_PASS] * 6
+    assert report["codes"] == [EXIT_PASS, EXIT_TOLERANCE, EXIT_TOLERANCE] + [EXIT_PASS] * 7
     assert report["scipy"] == []

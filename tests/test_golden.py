@@ -34,8 +34,8 @@ import pytest
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# the nine README invocations CI runs, two more rigidity runs and the
-# benchmark's field spec
+# the README invocations CI runs, two more rigidity runs, the benchmark's
+# field spec and two runs to an s target
 INVOCATIONS = [
     ["verify", "--builtin", "left-133"],
     ["verify", "--expr", "diag(2,2,2)"],
@@ -49,6 +49,8 @@ INVOCATIONS = [
     ["--seed", "7919", "rigidity"],
     ["--samples", "37", "rigidity"],
     ["verify", "--expr", "sym(a1*a2 - a3^2, a4, a1*a3, 1 + a2^3, a4*a1, -a1)"],
+    ["cylinder", "--s", "0.6..0.9"],
+    ["cylinder", "--s", "0.6..2"],
 ]
 
 REL_TOL = 1e-8
