@@ -305,7 +305,7 @@ def cmd_cylinder(args, config: RunConfig) -> int:
             probe = cyl.curvature_blowup_probe(svals)
             profile = None
         elif args.to_singularity:
-            profile = cyl.integrate(s_end=None, t_end=-10.0)
+            profile = cyl.integrate(t_end=-10.0)
         elif args.t is not None:
             lo, hi = _parse_range(args.t)
             if lo != 0.0:

@@ -147,10 +147,8 @@ class SingularityReached(Exception):
         )
 
 
-# Dormand-Prince 5(4) coefficients
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# Dormand-Prince 5(4) coefficients; _DP_A[i] weighs the slopes that stage i + 2 is built from
 _DP_A = (
-    (),
     (1 / 5,),
     (3 / 40, 9 / 40),
     (44 / 45, -56 / 15, 32 / 9),
@@ -161,16 +159,45 @@ _DP_A = (
 _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
+# step control: the tolerances, the s at which a backward run stops, the step cap
+RTOL, ATOL = 1e-10, 1e-12
+S_STOP = S_MIN + 1e-6
+MAX_STEPS = 200_000
 
-def _project_conserved(y):
+
+def _combine(a: float, b: float, h: float, weights, slopes) -> tuple:
+    """(a, b) + h sum_j weights[j] slopes[j], each sum taken from 0 in
+    index order with its zero weights kept."""
+    sa = sb = 0.0
+    for w, (ka, kb) in zip(weights, slopes):
+        sa += w * ka
+        sb += w * kb
+    return a + h * sa, b + h * sb
+
+
+def _dp_step(a: float, b: float, h: float) -> tuple:
+    """One Dormand-Prince step of size h from (a, b): the fifth-order state
+    and the larger of its two components' scaled error estimates.  A stage
+    that leaves a, b > 0 raises ValueError (from `reduced_rhs`)."""
+    slopes = [reduced_rhs(a, b)]
+    for weights in _DP_A:
+        slopes.append(reduced_rhs(*_combine(a, b, h, weights, slopes)))
+    a5, b5 = _combine(a, b, h, _DP_B5, slopes)
+    a4, b4 = _combine(a, b, h, _DP_B4, slopes)
+    ea = abs(a5 - a4) / (ATOL + RTOL * max(abs(a), abs(a5)))
+    eb = abs(b5 - b4) / (ATOL + RTOL * max(abs(b), abs(b5)))
+    # a NaN in either component is the error, so that it rejects the step
+    return a5, b5, ea if ea > eb or ea != ea else eb
+
+
+def _project_conserved(a: float, b: float) -> tuple:
     """Orthogonal Newton projection onto 2 a^2 b - a - b = 0."""
-    y = y.copy()
     for _ in range(3):
-        a, b = y
         F = 2 * a * a * b - a - b
-        g = np.array([4 * a * b - 1.0, 2 * a * a - 1.0])
-        y = y - F * g / (g @ g)
-    return y
+        ga, gb = 4 * a * b - 1.0, 2 * a * a - 1.0
+        gg = ga * ga + gb * gb
+        a, b = a - F * ga / gg, b - F * gb / gg
+    return a, b
 
 
 @dataclass
@@ -231,21 +258,12 @@ class CylinderProfile:
         return out[0], out[1]
 
 
-# a forward run that overflows ends in the OverflowError below, not in warnings
-@np.errstate(over="ignore", invalid="ignore")
-def integrate(
-    t_end: float | None = None,
-    s_end: float | None = None,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    s_stop: float = S_MIN + 1e-6,
-    max_steps: int = 200_000,
-) -> CylinderProfile:
+def integrate(t_end: float | None = None, s_end: float | None = None) -> CylinderProfile:
     """Integrate the reduced system from (t, a, b) = (0, 1, 1).
 
     Exactly one of t_end (signed) / s_end must be given; s_end < 1 runs
     backward.  Every accepted step is projected back onto the conserved
-    level set.  A backward run that would cross s = s_stop terminates
+    level set.  A backward run that would cross s = S_STOP terminates
     with `singularity` set, holding the boundary state as its last node.
     A forward run whose state overflows floating point raises OverflowError.
     """
@@ -259,83 +277,53 @@ def integrate(
         backward = t_end < 0.0
     direction = -1.0 if backward else 1.0
 
-    t, y = 0.0, np.array([1.0, 1.0])
-    ts, as_, bs, ads, bds = [0.0], [1.0], [1.0], [-1.0], [3.0]
+    t, a, b = 0.0, 1.0, 1.0
+    nodes = [(0.0, 1.0, 1.0, -1.0, 3.0)]
     h = 1e-3 * direction
     max_drift = 0.0
     singular = False
-    nsteps = 0
 
-    def done(t, y):
-        if t_end is not None:
-            return (t_end - t) * direction <= 1e-15
-        return (s_end - y[0] * y[1]) * direction <= 1e-15
-
-    def dp_step(y, h):
-        k = []
-        for i in range(7):
-            yi = y + h * sum(_DP_A[i][j] * k[j] for j in range(i)) if i else y
-            k.append(np.array(reduced_rhs(*yi)))
-        y5 = y + h * sum(_DP_B5[i] * k[i] for i in range(7))
-        y4 = y + h * sum(_DP_B4[i] * k[i] for i in range(7))
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.max(np.abs(y5 - y4) / scale))
-        return y5, err
-
-    while not done(t, y) and nsteps < max_steps:
+    # a NaN distance to the end does not end the run
+    while len(nodes) <= MAX_STEPS and not (
+        (t_end - t if s_end is None else s_end - a * b) * direction <= 1e-15
+    ):
         if abs(h) < 1e-15:
             # step-size underflow: a backward run drove into the boundary faster
             # than the s-event caught it; a forward run meets no singularity, so
             # its state has left floating-point range
             if not backward:
                 raise OverflowError(f"the state overflowed near t = {t:.6g}")
-            raise SingularityReached(CylinderState(t, float(y[0]), float(y[1])))
+            raise SingularityReached(CylinderState(t, a, b))
         if t_end is not None and abs(h) > abs(t_end - t):
             h = t_end - t
         try:
-            y5, err = dp_step(y, h)
+            a5, b5, err = _dp_step(a, b, h)
         except ValueError:  # stepped past positivity; shrink
             h *= 0.25
             continue
         if err <= 1.0:
-            crossed_stop = backward and (y5[0] * y5[1] < s_stop)
-            crossed_end = s_end is not None and (s_end - y5[0] * y5[1]) * direction <= 0
+            crossed_stop = backward and a5 * b5 < S_STOP
+            crossed_end = s_end is not None and (s_end - a5 * b5) * direction <= 0
             if crossed_stop or crossed_end:
-                target = s_stop if crossed_stop else s_end
+                target = S_STOP if crossed_stop else s_end
                 # secant refinement of h so the step lands on s = target
                 for _ in range(80):
-                    s0 = y[0] * y[1]
-                    s1 = y5[0] * y5[1]
+                    s0, s1 = a * b, a5 * b5
                     if abs(s1 - target) < 1e-13 or s1 == s0:
                         break
                     h *= (target - s0) / (s1 - s0)
-                    y5, err = dp_step(y, h)
+                    a5, b5, err = _dp_step(a, b, h)
             t += h
-            max_drift = max(max_drift, abs(conserved_quantity(*y5) - 2.0))
-            y = _project_conserved(y5)
-            ad, bd = reduced_rhs(*y)
-            ts.append(t)
-            as_.append(y[0])
-            bs.append(y[1])
-            ads.append(ad)
-            bds.append(bd)
-            nsteps += 1
+            max_drift = max(max_drift, abs(conserved_quantity(a5, b5) - 2.0))
+            a, b = _project_conserved(a5, b5)
+            nodes.append((t, a, b, *reduced_rhs(a, b)))
             if crossed_stop or crossed_end:
-                singular = bool(crossed_stop)
+                singular = crossed_stop
                 break
         h *= min(5.0, max(0.2, 0.9 * (1.0 / max(err, 1e-12)) ** 0.2))
 
-    profile = CylinderProfile(
-        t=np.array(ts),
-        a=np.array(as_),
-        b=np.array(bs),
-        adot=np.array(ads),
-        bdot=np.array(bds),
-        max_drift=max_drift,
-        singularity=singular,
-        steps=nsteps,
-    )
-    return profile
+    ts, as_, bs, ads, bds = (np.array(column) for column in zip(*nodes))
+    return CylinderProfile(ts, as_, bs, ads, bds, max_drift, singular, len(nodes) - 1)
 
 
 def weingarten(a, b, adot, bdot) -> np.ndarray:
@@ -414,13 +402,12 @@ def taub_nut_coeffs(a_param: float, b_param: float, s: float) -> tuple:
     reproduces (4x) the cylinder metric in the variable u = r s.
     """
     w = (a_param * s + b_param) / s
-    c0 = w
     denom = a_param * s + b_param
     if denom == 0:
         raise ValueError("as + b vanishes: outside the metric's domain")
     c1 = w * 4.0 * b_param**2 * s**2 / denom**2
     c2 = w * 4.0 * s**2
-    return c0, c1, c2, c2
+    return w, c1, c2, c2
 
 
 def ricci_4d(a, b, adot, bdot, addot, bddot) -> np.ndarray:
