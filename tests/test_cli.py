@@ -1,6 +1,8 @@
+import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -239,8 +241,27 @@ def _field_spec(draw):
     return f"{head}({', '.join(draw(st.lists(_poly_entry(), min_size=n, max_size=n)))})"
 
 
+_HUMAN_LINE = re.compile(r"( {2})*[A-Za-z_]\w*:( .*)?")
+
+
+def _assert_well_formed(out: str, output_format: str):
+    """Strict JSON of schema 1, a CSV table, or `key: value` lines."""
+    if output_format == "json":
+        assert json.loads(out, parse_constant=_reject_constant)["schema"] == 1
+    elif output_format == "csv":
+        header, *rows = csv.reader(io.StringIO(out))
+        assert rows and all(rows)
+        if header == ["key", "value"]:  # a report without rows: its scalars
+            assert ["schema", "1"] in rows and all(re.fullmatch(r"[a-z_0-9]+", r[0]) for r in rows)
+        else:
+            assert all(len(r) == len(header) for r in rows)
+    else:
+        assert out.endswith("\n") and all(_HUMAN_LINE.fullmatch(line) for line in out.splitlines())
+
+
 def _run_argv_cleanly(argv):
-    """Exit code and stdout of main(argv); fails on a traceback, a warning or non-strict JSON."""
+    """Exit code and stdout of main(argv); fails on a traceback, a warning or
+    output that is not well formed in the `--format=` that argv asks for."""
     err = io.StringIO()
     with warnings.catch_warnings(), redirect_stderr(err):
         warnings.simplefilter("error")
@@ -250,7 +271,9 @@ def _run_argv_cleanly(argv):
             code, out = exc.code, ""
     assert code in (EXIT_PASS, EXIT_TOLERANCE, EXIT_INPUT, EXIT_SINGULARITY)
     assert "Traceback" not in err.getvalue()
-    assert out == "" or json.loads(out, parse_constant=_reject_constant)["schema"] == 1
+    output_format = next((a[len("--format=") :] for a in argv if a.startswith("--format=")), "json")
+    if out:
+        _assert_well_formed(out, output_format)
     return code, out
 
 
@@ -271,7 +294,7 @@ _NUMBER = st.one_of(
 
 
 @st.composite
-def _run_options(draw):
+def _shared_options(draw):
     argv = []
     if draw(st.booleans()):
         argv.append(f"--seed={draw(st.one_of(st.integers(-3, 2**70).map(str), st.sampled_from(['1.5', 'x'])))}")
@@ -280,6 +303,12 @@ def _run_options(draw):
     for flag in ("--tol", "--fd-step"):
         if draw(st.booleans()):
             argv.append(f"{flag}={draw(_NUMBER)}")
+    return argv
+
+
+@st.composite
+def _run_options(draw):
+    argv = draw(_shared_options())
     command = draw(
         st.sampled_from(
             [
@@ -303,6 +332,63 @@ def test_run_options_end_cleanly(argv):
     # any value of the shared options: a known exit code and strict JSON or
     # nothing, and an option out of range is an input error with no output
     code, out = _run_argv_cleanly(argv)
+    assert (code == EXIT_INPUT) == (out == "")
+
+
+# one invocation of each subcommand, and each mode of cylinder
+_SUBCOMMANDS = [
+    ["verify", "--builtin", "left-133"],
+    ["verify", "--expr", "sym(a1, 0, 0, a2, 0, a3)"],
+    ["classify", "--grid-oracle"],
+    ["deform"],
+    ["cylinder", "--t", "0..1"],
+    ["cylinder", "--s", "0.6..0.9"],
+    ["cylinder", "--to-singularity"],
+    ["cylinder", "--s", "0.51..0.9", "--probe-curvature"],
+    ["rigidity"],
+]
+
+
+@pytest.mark.parametrize("command", _SUBCOMMANDS, ids=" ".join)
+@pytest.mark.parametrize("output_format", ["csv", "human"])
+@given(seed=st.integers(0, 2**40), samples=st.integers(1, 40))
+@settings(max_examples=2, deadline=None)
+def test_every_subcommand_in_csv_and_human_ends_cleanly(command, output_format, seed, samples):
+    argv = [f"--format={output_format}", f"--seed={seed}", f"--samples={samples}", *command]
+    code, out = _run_argv_cleanly(argv)
+    assert code in (EXIT_PASS, EXIT_TOLERANCE) and out
+
+
+_PROBE_POINTS = st.one_of(
+    st.integers(-3, 300).map(str), st.sampled_from(["1.5", "x", "", "1e3", str(2**70)])
+)
+
+
+@given(
+    lo=st.one_of(st.floats(0.0, 2.0), st.just(0.5)),
+    hi=st.one_of(st.floats(0.5, 4.0), st.floats(4.0, 1e6)),
+    points=_PROBE_POINTS,
+    output_format=st.sampled_from(["json", "csv", "human"]),
+)
+@example(lo=0.51, hi=0.9, points=str(2**70), output_format="json")
+@settings(max_examples=20, deadline=None)
+def test_probe_points_end_cleanly(lo, hi, points, output_format):
+    argv = [f"--format={output_format}", "cylinder", f"--s={lo!r}..{hi!r}", "--probe-curvature"]
+    code, out = _run_argv_cleanly(argv + [f"--probe-points={points}"])
+    if points.lstrip("-").isdigit() and int(points) < 2:
+        assert code == EXIT_INPUT and out == ""
+    if code in (EXIT_PASS, EXIT_TOLERANCE) and output_format == "json":
+        assert len(json.loads(out)["probe_curvature_norm"]) == int(points)
+
+
+@given(options=_shared_options(), output_format=st.sampled_from(["json", "csv", "human"]))
+@example(options=[], output_format="csv")
+@example(options=["--seed=3", "--samples=5", "--tol=1e-3", "--fd-step=1e-4"], output_format="human")
+@settings(max_examples=20, deadline=None)
+def test_to_singularity_with_shared_options_ends_cleanly(options, output_format):
+    # the run ignores --seed, --samples, --tol and --fd-step, but validates them
+    code, out = _run_argv_cleanly([f"--format={output_format}", *options, "cylinder", "--to-singularity"])
+    assert code in (EXIT_PASS, EXIT_INPUT)
     assert (code == EXIT_INPUT) == (out == "")
 
 
