@@ -9,7 +9,9 @@ which conserves (1/(ab))(b/a + 1) = 2 and is solved in closed form by
 a = sqrt(s/(2s-1)), b = sqrt(s(2s-1)) with s = a b > 1/2.  The 4D
 metric dt^2 + g_t is Ricci-flat along this orbit and is a negative-
 parameter continuation of the Euclidean Taub-NUT family, with a genuine
-curvature singularity as s -> 1/2.
+curvature singularity as s -> 1/2.  `integrate` follows the orbit with a
+Dormand-Prince 5(4) pair at fixed tolerances, on the state (a, b) as two
+Python floats, projecting each accepted step onto the conserved level set.
 
 Curvature conventions: the orthonormal coframe is
 (dt, a eta_1, b eta_2, b eta_3); closed-form Ricci and sectional
@@ -166,8 +168,7 @@ MAX_STEPS = 200_000
 
 
 def _combine(a: float, b: float, h: float, weights, slopes) -> tuple:
-    """(a, b) + h sum_j weights[j] slopes[j], each sum taken from 0 in
-    index order with its zero weights kept."""
+    """(a, b) + h sum_j weights[j] slopes[j]; sums from 0 in index order, zero weights kept."""
     sa = sb = 0.0
     for w, (ka, kb) in zip(weights, slopes):
         sa += w * ka
@@ -178,7 +179,7 @@ def _combine(a: float, b: float, h: float, weights, slopes) -> tuple:
 def _dp_step(a: float, b: float, h: float) -> tuple:
     """One Dormand-Prince step of size h from (a, b): the fifth-order state
     and the larger of its two components' scaled error estimates.  A stage
-    that leaves a, b > 0 raises ValueError (from `reduced_rhs`)."""
+    state with a or b <= 0 raises ValueError (from `reduced_rhs`)."""
     slopes = [reduced_rhs(a, b)]
     for weights in _DP_A:
         slopes.append(reduced_rhs(*_combine(a, b, h, weights, slopes)))
