@@ -169,24 +169,13 @@ def _ref_integrate(
 
 
 def _outcome(integrator, **kwargs):
-    """A profile's fields as bytes, or the exception's type and message."""
+    """A profile's fields as dtypes and bytes, or the exception's type and message."""
     try:
         p = integrator(**kwargs)
     except (ValueError, OverflowError, SingularityReached) as exc:
         return type(exc), str(exc)
-    columns = tuple(np.asarray(c, dtype=np.float64).tobytes() for c in (p.t, p.a, p.b, p.adot, p.bdot))
+    columns = tuple((c.dtype.str, c.tobytes()) for c in (p.t, p.a, p.b, p.adot, p.bdot))
     return columns, np.float64(p.max_drift).tobytes(), p.steps, p.singularity
-
-
-def _assert_same(**kwargs):
-    want = _ref_integrate(**kwargs)
-    got = cyl.integrate(**kwargs)
-    for name in ("t", "a", "b", "adot", "bdot"):
-        g, w = getattr(got, name), getattr(want, name)
-        assert g.dtype == w.dtype == np.float64 and g.tobytes() == w.tobytes(), name
-    assert np.float64(got.max_drift).tobytes() == np.float64(want.max_drift).tobytes()
-    assert got.steps == want.steps
-    assert got.singularity is want.singularity
 
 
 @pytest.mark.parametrize(
@@ -195,7 +184,10 @@ def _assert_same(**kwargs):
     ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()),
 )
 def test_integrate_matches_the_numpy_integrator_bit_for_bit(kwargs):
-    _assert_same(**kwargs)
+    got = _outcome(cyl.integrate, **kwargs)
+    assert got == _outcome(_ref_integrate, **kwargs)
+    # a profile, singular exactly for the backward times (the boundary is at t = -0.188)
+    assert len(got) == 4 and got[3] is (kwargs.get("t_end", 0.0) < 0)
 
 
 @given(
@@ -254,9 +246,7 @@ def test_a_nan_slope_rejects_the_step_as_np_max_did(monkeypatch, call, component
     monkeypatch.setattr(cyl, "reduced_rhs", _nan_on_call(call, component))
     got = cyl.integrate(t_end=3.0)
     assert not np.isnan(got.a).any() and not np.isnan(got.b).any()  # the NaN step was not taken
-    for name in ("t", "a", "b", "adot", "bdot"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    assert (got.steps, got.singularity, got.max_drift) == (want.steps, want.singularity, want.max_drift)
+    assert _outcome(lambda: got) == _outcome(lambda: want)
 
 
 def test_the_state_is_python_floats():
