@@ -16,6 +16,7 @@ Three groups of checkable systems live here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -24,7 +25,7 @@ import numpy as np
 from .cauchy import SymEnd3Field, VectorField3, _coerce_entry, _same_entry
 from .frame import Chirality, ScalarField, _as_array
 from .polynomial import Poly, evaluate
-from .tensor import cov_matrix, cov_vector, hat
+from .tensor import cov_matrix, cov_vector
 
 __all__ = [
     "constant_frame_residual",
@@ -295,78 +296,121 @@ def random_s2_points(n: int, seed: int = 0) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-# Every function below takes points of shape (..., 3) and gives each
-# point, at any batch shape, the bits it gives alone.  Each product keeps
-# the operand shapes of its one-point form, so a stacked matmul reaches
-# the same BLAS kernel: (3,3)@(3,1) is gemv, (1,3)@(3,3) gemv, (1,3)@(3,1)
-# dot and (3,3)@(3,3) gemm.
+# The kernels below hold a vector as a 3-tuple and a matrix as a row-major
+# 9-tuple of components: Python floats for one point, arrays of the batch
+# shape otherwise, told apart only by `_split` and `_join`.  Every sum is
+# (a0*b0 + a1*b1) + a2*b2 and every norm the sqrt of one, from + - * / and
+# sqrt alone, which round the same on floats and on arrays: a point has
+# the same bits alone and in any batch, under any SIMD or BLAS kernel.
 
 
-def _outer(a, b):
-    return a[..., :, None] * b[..., None, :]
+def _split(a, k: int = 1) -> list:
+    """The components on the last k axes of a, nested k deep."""
+    if a.ndim == k:
+        return a.tolist()
+    return [_split(b, k - 1) if k > 1 else b for b in np.moveaxis(a, -k, 0)]
 
 
-def _mv(A, v):
-    return (A @ v[..., None])[..., 0]
+def _join(components, k: int = 1) -> np.ndarray:
+    """Components nested k deep back into an array, on its last k axes."""
+    a = np.array(components)
+    return np.moveaxis(a, tuple(range(k)), tuple(range(-k, 0)))
+
+
+def _matrices(a, k: int = 1) -> list:
+    """The 9-tuples of the (..., 3, 3) matrices in a, nested k deep."""
+    return _split(a.reshape(a.shape[:-2] + (9,)), k)
 
 
 def _dot(a, b):
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def _cross(a, b):
-    """a x b by np.cross's products and differences, so the same bits;
-    np.cross's own overhead is 3x this on one point (38 against 13 us)."""
-    i, j = [1, 2, 0], [2, 0, 1]
-    return a[..., i] * b[..., j] - a[..., j] * b[..., i]
+    """a x b by np.cross's products and differences, so the same bits."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _mv(m, v):
+    v0, v1, v2 = v
+    return (m[0] * v0 + m[1] * v1 + m[2] * v2, m[3] * v0 + m[4] * v1 + m[5] * v2, m[6] * v0 + m[7] * v1 + m[8] * v2)
+
+
+def _mm(a, b):
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    return (
+        a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
+        a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+        a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8,
+    )  # fmt: skip
+
+
+def _add3(a, b, c):
+    return tuple(x + y + z for x, y, z in zip(a, b, c))
+
+
+def _normalize(p):
+    d = _dot(p, p)
+    n = math.sqrt(d) if isinstance(d, float) else np.sqrt(d)  # both round correctly
+    return (p[0] / n, p[1] / n, p[2] / n)
+
+
+def _hat(v):
+    """The matrix of v x ., as `tensor.hat`."""
+    return (0.0, -v[2], v[1], v[2], 0.0, -v[0], -v[1], v[0], 0.0)
+
+
+def _projector(q):
+    """P = I - q q^T."""
+    return tuple(float(i == j) - a * b for i, a in enumerate(q) for j, b in enumerate(q))
+
+
+def _project(q, m):
+    """P M P at q."""
+    proj = _projector(q)
+    return _mm(_mm(proj, m), proj)
+
+
+def _frame(p) -> tuple:
+    """(X, JX), P = I - p p^T and D_x P = -x p^T - p x^T along X and JX: X is
+    p x e_k normalized, for the first k of least |p_k| (as np.argmin finds it)."""
+    a0, a1, a2 = abs(p[0]), abs(p[1]), abs(p[2])
+    e_k = ((a0 <= a1) & (a0 <= a2), (a1 < a0) & (a1 <= a2), (a2 < a0) & (a2 < a1))
+    x = _normalize(_cross(p, e_k))
+    frame = (x, _cross(p, x))
+    proj = _projector(p)
+    dprojs = [tuple(-u * b - a * v for u, a in zip(f, p) for v, b in zip(f, p)) for f in frame]
+    return frame, proj, dprojs
 
 
 def tangent_basis(p) -> tuple:
     """A deterministic orthonormal tangent pair (X, JX) at p, JX = p x X."""
-    p = np.asarray(p, dtype=float)
-    x = _cross(p, np.eye(3)[np.argmin(np.abs(p), axis=-1)])
-    x = x / np.sqrt(_dot(x, x))[..., None]
-    return x, _cross(p, x)
+    return tuple(_join(v) for v in _frame(_split(np.asarray(p, dtype=float)))[0])
 
 
-def _normalize(p):
-    return p / np.linalg.norm(p, axis=-1, keepdims=True)
-
-
-def _project(p, M):
-    """P M P with P = I - p p^T."""
-    proj = np.eye(3) - _outer(p, p)
-    return proj @ M @ proj
-
-
-def _directional(p, x, M, dM) -> np.ndarray:
-    """Ambient derivative of P M P along x, given M and D_x M at p.
+def _exact_local(proj, dprojs, n, M, Mn, dMs) -> tuple:
+    """Tangential value at p and its derivatives along the frame, from P(p)
+    and D_x P, M at p and at n = normalize(p), and D_x M.
 
     d/dt [P M P](c(t)) = (D_x P) M P + P (D_x M) P + P M (D_x P); the
     curve t -> normalize(p + t x) has velocity x at t = 0 for tangent x.
     """
-    proj = np.eye(3) - _outer(p, p)
-    dproj = -_outer(x, p) - _outer(p, x)
-    return dproj @ M @ proj + proj @ dM @ proj + proj @ M @ dproj
+    pm = _mm(proj, M)
+    derivs = [_add3(_mm(_mm(d, M), proj), _mm(_mm(proj, dM), proj), _mm(pm, d)) for d, dM in zip(dprojs, dMs)]
+    return _project(n, Mn), derivs
 
 
-def _exact_local(p, dirs, M, Mn, dMs) -> tuple:
-    """Tangential value at p and its derivatives along dirs, from M at p,
-    M at normalize(p) and the derivatives D_x M along dirs."""
-    return _project(_normalize(p), Mn), [_directional(p, x, M, dM) for x, dM in zip(dirs, dMs)]
-
-
-def _fd_points(p, dirs, h) -> np.ndarray:
-    """normalize(p +- h x) for each x in dirs, then p: (..., 2 len(dirs) + 1, 3)."""
-    shifted = [_normalize(q) for x in dirs for q in (p + h * x, p - h * x)]
-    return np.stack(shifted + [p], axis=-2)
+def _fd_points(p, dirs, h) -> list:
+    """normalize(p +- h x) for each x in dirs, then p, each normalized once more."""
+    shifted = [_normalize([a + s * h * b for a, b in zip(p, x)]) for x in dirs for s in (1.0, -1.0)]
+    return [_normalize(q) for q in shifted + [p]]
 
 
 def _fd_local(values, h) -> tuple:
     """Value at p and central differences, from the values at `_fd_points`."""
-    steps = range(0, values.shape[-3] - 1, 2)
-    diffs = [(values[..., k, :, :] - values[..., k + 1, :, :]) / (2.0 * h) for k in steps]
-    return values[..., -1, :, :], diffs
+    *shifted, at_p = values
+    return at_p, [tuple((a - b) / (2.0 * h) for a, b in zip(u, v)) for u, v in zip(shifted[::2], shifted[1::2])]
 
 
 class S2EndField:
@@ -407,29 +451,30 @@ class S2EndField:
 
     def value(self, p) -> np.ndarray:
         """Tangential value P M P at p (p need not be exactly unit)."""
-        p = _normalize(np.asarray(p, dtype=float))
-        return _project(p, self.raw(p))
+        n = _normalize(_split(np.asarray(p, dtype=float)))
+        out = _join(_project(n, _matrices(self.raw(_join(n)))))
+        return out.reshape(out.shape[:-1] + (3, 3))
 
-    def _jet(self, p, dirs) -> tuple:
-        """M at p, M at normalize(p) and D_x M at p for x in dirs (exact mode)."""
+    def _jet(self, p, n, dirs) -> tuple:
+        """M at p, M at n = normalize(p) and D_x M at p for x in dirs (exact mode)."""
         if self._grads is None:
             self._grads = [g for e in self._entries for g in e.gradient()]
-        vals = np.stack(evaluate(self._entries + self._grads, np.stack([p, _normalize(p)], axis=-2)), axis=-1)
-        M = vals[..., :9].reshape(p.shape[:-1] + (2, 3, 3))
-        G = vals[..., 0, 9:].reshape(p.shape[:-1] + (3, 3, 3))
-        # ((0 + G_0 x_0) + G_1 x_1) + G_2 x_2, the order of the one-point sum
-        dMs = [sum(G[..., m] * x[..., m, None, None] for m in range(3)) for x in dirs]
-        return M[..., 0, :, :], M[..., 1, :, :], dMs
+        vals = np.array(evaluate(self._entries + self._grads, _join([p, n], 2)))
+        at_p, at_n = _split(np.moveaxis(vals, 0, -1), 2)
+        dMs = [tuple(_dot(at_p[9 + 3 * e : 12 + 3 * e], x) for e in range(9)) for x in dirs]
+        return at_p[:9], at_n[:9], dMs
 
-    def _local(self, p, dirs) -> tuple:
-        """Tangential value at p and its ambient derivatives along each of dirs."""
+    def _local(self, p, frame, proj, dprojs) -> tuple:
+        """Tangential value at p and its ambient derivatives along the frame."""
         if self.mats is not None:
-            return _exact_local(p, dirs, *self._jet(p, dirs))
-        return _fd_local(self.value(_fd_points(p, dirs, self.fd_step)), self.fd_step)
+            n = _normalize(p)
+            return _exact_local(proj, dprojs, n, *self._jet(p, n, frame))
+        q = _fd_points(p, frame, self.fd_step)
+        return _fd_local([_project(a, m) for a, m in zip(q, _matrices(self.raw(_join(q, 2)), 2))], self.fd_step)
 
 
-def _covariant_endo(p, x, y, dU, Uv) -> np.ndarray:
-    """(nabla-bar_x U)(y) at p, for tangent vectors x, y.
+def _covariant_endo(proj, dproj, y, dU, Uv):
+    """(nabla-bar_x U)(y) at p, for tangent vectors x, y, with dproj = D_x P.
 
     dU is the ambient derivative of U's tangential value along x and Uv
     that value.  y is extended by projecting the constant ambient
@@ -437,20 +482,14 @@ def _covariant_endo(p, x, y, dU, Uv) -> np.ndarray:
     tangential value already absorbs the projector), while
     nabla-bar_x y-tilde = P (D_x P) y.
     """
-    proj = np.eye(3) - _outer(p, p)
-    dproj = -_outer(x, p) - _outer(p, x)
-    return _mv(proj, _mv(dU, y)) - _mv(Uv, _mv(proj, _mv(dproj, y)))
+    a, b = _mv(proj, _mv(dU, y)), _mv(Uv, _mv(proj, _mv(dproj, y)))
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
-def _delta_endo_s2(p, frame, Uv, derivs) -> np.ndarray:
+def _delta_endo_s2(proj, dprojs, frame, Uv, derivs):
     """delta-bar U = -sum_i (nabla-bar_{f_i} U)(f_i), ambient tangent vector."""
-    (x, jx), (dx, djx) = frame, derivs
-    return -(_covariant_endo(p, x, x, dx, Uv) + _covariant_endo(p, jx, jx, djx, Uv))
-
-
-def _det_tangent(Uv, x, jx) -> np.ndarray:
-    m = np.stack([(u[..., None, :] @ Uv) @ v[..., :, None] for u in (x, jx) for v in (x, jx)], axis=-1)
-    return np.linalg.det(m.reshape(m.shape[:-3] + (2, 2)))
+    a, b = (_covariant_endo(proj, dproj, f, dU, Uv) for dproj, f, dU in zip(dprojs, frame, derivs))
+    return (-(a[0] + b[0]), -(a[1] + b[1]), -(a[2] + b[2]))
 
 
 def s2_identity_field() -> S2EndField:
@@ -464,12 +503,13 @@ def s2_rigidity_residual(U: S2EndField, p) -> tuple:
     `tangent_basis(p)`.  For p of shape (..., 3) the residuals have
     shapes (...) and (..., 2); a single point gives (float, (2,) array).
     """
-    p = np.asarray(p, dtype=float)
-    frame = tangent_basis(p)
-    Uv, derivs = U._local(p, frame)
-    delta = _delta_endo_s2(p, frame, Uv, derivs)
-    det = _det_tangent(Uv, *frame) - 1.0
-    return (float(det) if p.ndim == 1 else det), np.stack([_dot(delta, v) for v in frame], axis=-1)
+    p = _split(np.asarray(p, dtype=float))
+    frame, proj, dprojs = _frame(p)
+    Uv, derivs = U._local(p, frame, proj, dprojs)
+    delta = _delta_endo_s2(proj, dprojs, frame, Uv, derivs)
+    (x, jx), (ux, ujx) = frame, [_mv(Uv, v) for v in frame]
+    det = _dot(x, ux) * _dot(jx, ujx) - _dot(x, ujx) * _dot(jx, ux)
+    return det - 1.0, _join([_dot(delta, v) for v in frame])
 
 
 def codazzi_divfree_equiv(S: S2EndField, p) -> tuple:
@@ -479,25 +519,26 @@ def codazzi_divfree_equiv(S: S2EndField, p) -> tuple:
     agree for every endomorphism field S, which is the pointwise content
     of the Codazzi <-> divergence-free equivalence.
     """
-    p = np.asarray(p, dtype=float)
-    frame = tangent_basis(p)
-    x, jx = frame
-    J = hat(p)  # the complex structure v -> p x v
+    p = _split(np.asarray(p, dtype=float))
+    frame, proj, dprojs = _frame(p)
+    J = _hat(p)  # the complex structure v -> p x v
     if S.mats is not None:
         # J S J = hat(p) M hat(p), differentiated by the product rule
-        M, Mn, dMs = S._jet(p, frame)
-        Jn = hat(_normalize(p))
-        dJSJ = [hat(v) @ M @ J + J @ dM @ J + J @ M @ hat(v) for v, dM in zip(frame, dMs)]
-        Sv, (dx, djx) = _exact_local(p, frame, M, Mn, dMs)
-        JSJ = _exact_local(p, frame, J @ M @ J, Jn @ Mn @ Jn, dJSJ)
+        n = _normalize(p)
+        M, Mn, dMs = S._jet(p, n, frame)
+        jm, jn = _mm(J, M), _hat(n)
+        dJSJ = [_add3(_mm(_mm(_hat(v), M), J), _mm(_mm(J, dM), J), _mm(jm, _hat(v))) for v, dM in zip(frame, dMs)]
+        Sv, (dx, djx) = _exact_local(proj, dprojs, n, M, Mn, dMs)
+        JSJ = _exact_local(proj, dprojs, n, _mm(jm, J), _mm(_mm(jn, Mn), jn), dJSJ)
     else:
-        # S at the shifted points and at their renormalisations, where
-        # J S J is sampled, in one call of S.func
-        pts = _fd_points(p, frame, S.fd_step)
-        q = _normalize(pts)
-        vals = S.value(np.stack([pts, q], axis=-3))
-        Sv, (dx, djx) = _fd_local(vals[..., 0, :, :, :], S.fd_step)
-        JSJv = _project(q, np.einsum("...ij,...jk,...kl->...il", hat(q), vals[..., 1, :, :, :], hat(q)))
-        JSJ = _fd_local(JSJv, S.fd_step)
-    d_codazzi = _covariant_endo(p, x, jx, dx, Sv) - _covariant_endo(p, jx, x, djx, Sv)
-    return _mv(J, d_codazzi), -_delta_endo_s2(p, frame, *JSJ)
+        # S at the FD points q and at their renormalisations, for J S J, in one call of S.func
+        q = _fd_points(p, frame, S.fd_step)
+        nq = [_normalize(x) for x in q]
+        raw_q, raw_nq = _matrices(S.raw(_join([q, nq], 3)), 3)
+        Sv, (dx, djx) = _fd_local([_project(a, m) for a, m in zip(q, raw_q)], S.fd_step)
+        jsj = [_project(a, _mm(_mm(_hat(a), _project(b, m)), _hat(a))) for a, b, m in zip(q, nq, raw_nq)]
+        JSJ = _fd_local(jsj, S.fd_step)
+    (x, jx), (dpx, dpjx) = frame, dprojs
+    a, b = _covariant_endo(proj, dpx, jx, dx, Sv), _covariant_endo(proj, dpjx, x, djx, Sv)
+    rhs = _delta_endo_s2(proj, dprojs, frame, *JSJ)
+    return _join(_mv(J, (a[0] - b[0], a[1] - b[1], a[2] - b[2]))), _join([-c for c in rhs])

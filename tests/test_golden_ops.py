@@ -108,9 +108,6 @@ CPU_VARIANTS = {
     "simd-off": {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"},
     "prescott": {"OPENBLAS_CORETYPE": "Prescott"},
 }
-# cylinder-s2's S^2 ops multiply 3x3 matrices with `@`, which BLAS rounds
-# as its kernel chooses
-BLAS_OPS = {"s2_rigidity:identity", "s2_rigidity:perturbed", "codazzi_divfree_equiv:fd"}
 
 
 def _start_child(extra: dict) -> subprocess.Popen:
@@ -140,8 +137,7 @@ def test_op_digests_do_not_depend_on_the_cpu():
     assert simd_off is None or not set(simd_off) & set(CPU_VARIANTS["simd-off"]["NPY_DISABLE_CPU_FEATURES"].split())
     for name, result in results.items():
         ops = result["ops"]
-        skip = BLAS_OPS if name == "prescott" else set()
-        moved = [f"{w}:{op}" for w in WORKLOADS for op in base[w] if op not in skip and ops[w][op] != base[w][op]]
+        moved = [f"{w}:{op}" for w in WORKLOADS for op in base[w] if ops[w][op] != base[w][op]]
         assert moved == [], name
 
 

@@ -1,34 +1,75 @@
-"""The batched S^2 calculus against the per-point reference.
+"""The S^2 calculus against an independent per-point reference.
 
-The reference below is the per-point form of the S^2 kernels: entry by
-entry `Poly.__call__` at one point, `np.outer`, `np.linalg.norm` and
-one 3x3 product at a time.  It does not call the code it checks.  The
-batched kernels must return its bits at every batch shape.
+The reference below computes one point at a time in Python floats, with
+3x3 matrices as nested lists: the entries by `Poly.__call__` at that
+point, every sum as (a0*b0 + a1*b1) + a2*b2 and every norm as the sqrt
+of one, the fixed order the kernels promise.  It imports no helper of
+the code it checks.  The kernels must return its bits for each point
+alone and at every batch shape.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from cauchys3 import classify as cls
 from cauchys3.polynomial import Poly
-from cauchys3.tensor import hat
 
 # ---------------------------------------------------------------------------
 # per-point reference
 # ---------------------------------------------------------------------------
 
+R3 = range(3)
+
+
+def dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def cross(a, b):
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
+def matvec(m, v):
+    return [dot(m[i], v) for i in R3]
+
+
+def matmul(a, b):
+    return [[dot(a[i], [b[0][j], b[1][j], b[2][j]]) for j in R3] for i in R3]
+
+
+def combine(f, *ms):
+    return [[f(*(m[i][j] for m in ms)) for j in R3] for i in R3]
+
+
+def hat(v):
+    return [[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]]
+
+
+def normalize(p):
+    n = math.sqrt(dot(p, p))
+    return [c / n for c in p]
+
+
+def projector(p):
+    return [[float(i == j) - p[i] * p[j] for j in R3] for i in R3]
+
+
+def projector_derivative(p, x):
+    return [[-x[i] * p[j] - p[i] * x[j] for j in R3] for i in R3]
+
+
+def project(q, m):
+    proj = projector(q)
+    return matmul(matmul(proj, m), proj)
+
 
 def ref_tangent_basis(p):
-    p = np.asarray(p, dtype=float)
-    helper = np.zeros(3)
+    helper = [0.0, 0.0, 0.0]
     helper[int(np.argmin(np.abs(p)))] = 1.0
-    x = np.cross(p, helper)
-    x = x / np.linalg.norm(x)
-    return x, np.cross(p, x)
-
-
-def ref_normalize(p):
-    return p / np.linalg.norm(p, axis=-1, keepdims=True)
+    x = normalize(cross(p, helper))
+    return x, cross(p, x)
 
 
 class RefField:
@@ -41,71 +82,68 @@ class RefField:
         self.grads = None if mats is None else [[e.gradient() for e in row] for row in mats]
 
     def raw(self, p):
+        """M at points (..., 3), entry by entry."""
         p = np.asarray(p, dtype=float)
-        if self.mats is not None:
-            out = np.zeros(p.shape[:-1] + (3, 3))
-            for i in range(3):
-                for j in range(3):
-                    out[..., i, j] = self.mats[i][j](p)
-            return out
-        return np.asarray(self.func(p), dtype=float)
+        if self.mats is None:
+            return np.asarray(self.func(p), dtype=float)
+        out = np.zeros(p.shape[:-1] + (3, 3))
+        for i in R3:
+            for j in R3:
+                out[..., i, j] = self.mats[i][j](p)
+        return out
+
+    def raw_at(self, q):
+        return self.raw(np.array(q)).tolist()
 
     def value(self, p):
-        p = ref_normalize(np.asarray(p, dtype=float))
-        proj = np.eye(3) - np.einsum("...i,...j->...ij", p, p)
-        return proj @ self.raw(p) @ proj
+        n = normalize(p)
+        return project(n, self.raw_at(n))
 
-    def directional(self, p, x):
-        if self.mats is not None:
-            proj = np.eye(3) - np.outer(p, p)
-            dproj = -np.outer(x, p) - np.outer(p, x)
-            M = self.raw(p)
-            dM = np.zeros((3, 3))
-            for i in range(3):
-                for j in range(3):
-                    g = self.grads[i][j]
-                    dM[i, j] = sum(g[m](p) * x[m] for m in range(3))
-            return dproj @ M @ proj + proj @ dM @ proj + proj @ M @ dproj
-        h = self.fd_step
-        plus = self.value(ref_normalize(p + h * x))
-        minus = self.value(ref_normalize(p - h * x))
-        return (plus - minus) / (2.0 * h)
+    def local(self, p, x):
+        """Tangential value at p and its derivative along x."""
+        if self.mats is None:
+            h = self.fd_step
+            plus = self.value(normalize([a + h * b for a, b in zip(p, x)]))
+            minus = self.value(normalize([a - h * b for a, b in zip(p, x)]))
+            return self.value(p), combine(lambda a, b: (a - b) / (2.0 * h), plus, minus)
+        proj, dproj = projector(p), projector_derivative(p, x)
+        M = self.raw_at(p)
+        dM = [[dot([float(g(np.array(p))) for g in self.grads[i][j]], x) for j in R3] for i in R3]
+        terms = (matmul(matmul(dproj, M), proj), matmul(matmul(proj, dM), proj), matmul(matmul(proj, M), dproj))
+        return self.value(p), combine(lambda a, b, c: a + b + c, *terms)
 
 
 def ref_covariant_endo(U, p, x, y):
-    proj = np.eye(3) - np.outer(p, p)
-    dproj = -np.outer(x, p) - np.outer(p, x)
-    dU = U.directional(p, x)
-    return proj @ (dU @ y) - U.value(p) @ (proj @ (dproj @ y))
+    """(nabla-bar_x U)(y) = P (D_x U) y - U P (D_x P) y."""
+    Uv, dU = U.local(p, x)
+    a = matvec(projector(p), matvec(dU, y))
+    b = matvec(Uv, matvec(projector(p), matvec(projector_derivative(p, x), y)))
+    return [u - v for u, v in zip(a, b)]
 
 
 def ref_delta_endo(U, p):
     x, jx = ref_tangent_basis(p)
-    return -(ref_covariant_endo(U, p, x, x) + ref_covariant_endo(U, p, jx, jx))
-
-
-def ref_det_tangent(U, p):
-    x, jx = ref_tangent_basis(p)
-    Uv = U.value(p)
-    m = np.array([[x @ Uv @ x, x @ Uv @ jx], [jx @ Uv @ x, jx @ Uv @ jx]])
-    return float(np.linalg.det(m))
+    a, b = ref_covariant_endo(U, p, x, x), ref_covariant_endo(U, p, jx, jx)
+    return [-(u + v) for u, v in zip(a, b)]
 
 
 def ref_rigidity(U, p):
     x, jx = ref_tangent_basis(p)
+    Uv = U.value(p)
+    m = [[dot(u, matvec(Uv, v)) for v in (x, jx)] for u in (x, jx)]
     delta = ref_delta_endo(U, p)
-    return ref_det_tangent(U, p) - 1.0, np.array([delta @ x, delta @ jx])
+    return m[0][0] * m[1][1] - m[0][1] * m[1][0] - 1.0, [dot(delta, x), dot(delta, jx)]
 
 
 def ref_codazzi_fd(S, p):
     x, jx = ref_tangent_basis(p)
-    d_codazzi = ref_covariant_endo(S, p, x, jx) - ref_covariant_endo(S, p, jx, x)
-    lhs = hat(p) @ d_codazzi
+    a, b = ref_covariant_endo(S, p, x, jx), ref_covariant_endo(S, p, jx, x)
+    lhs = matvec(hat(p), [u - v for u, v in zip(a, b)])
     JSJ = RefField(
-        func=lambda q: np.einsum("...ij,...jk,...kl->...il", hat(q), S.value(q), hat(q)),
+        func=lambda q: np.array(matmul(matmul(hat(q.tolist()), S.value(q.tolist())), hat(q.tolist()))),
         fd_step=S.fd_step,
     )
-    return lhs, -ref_delta_endo(JSJ, p)
+    return lhs, [-c for c in ref_delta_endo(JSJ, p)]
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +186,10 @@ def _reference(seed):
         rig = {}
         for name, mats in _rigidity_fields(seed).items():
             U = RefField(mats)
-            res = [ref_rigidity(U, p) for p in pts]
+            res = [ref_rigidity(U, p) for p in pts.tolist()]
             rig[name] = (np.array([r[0] for r in res]), np.array([r[1] for r in res]))
         S_fd = RefField(func=RefField(_perturbation(seed)).raw)
-        cod = [ref_codazzi_fd(S_fd, p) for p in pts]
+        cod = [ref_codazzi_fd(S_fd, p) for p in pts.tolist()]
         _CACHE[seed] = pts, rig, (np.array([c[0] for c in cod]), np.array([c[1] for c in cod]))
     return _CACHE[seed]
 
@@ -169,7 +207,7 @@ def _per_point(fn, pts):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_tangent_basis_bits(seed):
     pts = cls.random_s2_points(N, seed=seed)
-    want = [np.array(v) for v in zip(*(ref_tangent_basis(p) for p in pts))]
+    want = [np.array(v) for v in zip(*(ref_tangent_basis(p) for p in pts.tolist()))]
     for got in (
         [np.array(v) for v in zip(*(cls.tangent_basis(p) for p in pts))],
         cls.tangent_basis(pts),
@@ -184,7 +222,7 @@ def test_raw_and_value_bits(seed):
     mats = _perturbation(seed)
     ref, new = RefField(mats), cls.S2EndField.from_polynomial_matrix(mats)
     want_raw = np.array([ref.raw(p) for p in pts])
-    want_value = np.array([ref.value(p) for p in pts])
+    want_value = np.array([ref.value(p) for p in pts.tolist()])
     for shape in SHAPES:
         p = pts.reshape(shape + (3,))
         assert np.array_equal(new.raw(p).reshape(N, 3, 3), want_raw)
