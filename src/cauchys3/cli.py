@@ -18,6 +18,7 @@ requested.
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import sys
 from dataclasses import dataclass
@@ -116,23 +117,18 @@ def emit(report: dict, config: RunConfig, stream=None) -> None:
     if config.output_format == "json":
         stream.write(canonical_json(report) + "\n")
     elif config.output_format == "csv":
-        rows = report.get("rows")
+        # the csv module quotes a field that holds a comma or a quote, so a
+        # non-finite float goes in bare: the reader gets "NaN" back either way
+        out, rows = csv.writer(stream, lineterminator="\n"), report.get("rows")
         if rows:
-            cols = list(rows[0].keys())
-            stream.write(",".join(cols) + "\n")
+            out.writerow(rows[0])
             for r in rows:
-                stream.write(
-                    ",".join(
-                        _fmt_float(v) if isinstance(v, (float, np.floating)) else str(v)
-                        for v in (r[c] for c in cols)
-                    )
-                    + "\n"
-                )
+                vals = (r[c] for c in rows[0])
+                out.writerow(_fmt_float(v).strip('"') if isinstance(v, (float, np.floating)) else str(v) for v in vals)
         else:
-            stream.write("key,value\n")
-            for k, v in report.items():
-                if isinstance(v, (int, float, str, bool, np.floating, np.integer)):
-                    stream.write(f"{k},{v}\n")
+            out.writerow(["key", "value"])
+            scalars = (int, float, str, bool, np.floating, np.integer)
+            out.writerows((k, str(v)) for k, v in report.items() if isinstance(v, scalars))
     else:  # human
         _emit_human(report, stream)
 
