@@ -10,11 +10,13 @@ where each entry E is a polynomial expression in the ambient
 coordinates a1..a4: numbers (decimal, with an optional exponent as in
 1e-3), + - *, unary minus, integer ^, and parentheses.  No general
 function calls.  An exponent above MAX_DEGREE, or a power or product
-of degree above it, is a ParseError, raised before it is expanded.
+of degree above it, is a ParseError, raised before it is expanded.  So
+is a number or a coefficient that is not finite (1e400, 1e200*1e200).
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 from .cauchy import KNOWN_KINDS, SymEnd3Field, known_example
@@ -114,6 +116,8 @@ class _Parser:
     def atom(self) -> Poly:
         kind, val = self.next()
         if kind == "num":
+            if not math.isfinite(val):
+                raise ParseError(f"a number is not finite: {val}")
             return Poly.constant(val, 4)
         if kind == "coord":
             return Poly.coordinate(val - 1, 4)
@@ -130,6 +134,8 @@ def parse_poly_expr(text: str) -> Poly:
     out = p.expr()
     if p.peek()[0] != "end":
         raise ParseError(f"trailing input after expression: {p.peek()[1]!r}")
+    if not all(math.isfinite(c) for c in out.terms.values()):
+        raise ParseError("a coefficient is not finite: it overflows")
     return out
 
 

@@ -85,3 +85,12 @@ def test_degree_at_bound_accepted():
     assert np.array_equal(parse_poly_expr("a1^16")(pts), parse_poly_expr("a1^8*a1^8")(pts))
     assert parse_poly_expr("(a1 + a2)^16").degree == 16
     assert parse_poly_expr("a1^8*a2^8").degree == 16
+
+
+@pytest.mark.parametrize(
+    "bad", ["1e400", "9" * 400, "1e400*0", "1e200*1e200", "1e200*a1*1e200", "1e308+1e308", "(1e200*a1)^2"]
+)
+def test_non_finite_coefficient_rejected(bad):
+    with pytest.raises(ParseError, match="not finite"):
+        parse_poly_expr(bad)
+    assert parse_poly_expr("1e308*a1 + 1e-308").degree == 1  # large and tiny finite numbers stay
