@@ -18,7 +18,6 @@ requested.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from dataclasses import dataclass
@@ -117,8 +116,10 @@ def emit(report: dict, config: RunConfig, stream=None) -> None:
     if config.output_format == "json":
         stream.write(canonical_json(report) + "\n")
     elif config.output_format == "csv":
-        # the csv module quotes a field that holds a comma or a quote, so a
-        # non-finite float goes in bare: the reader gets "NaN" back either way
+        import csv  # here, so that a JSON run does not import it
+
+        # csv quotes a field that holds a comma or a quote, so a non-finite
+        # float goes in bare: a reader gets "NaN" back either way
         out, rows = csv.writer(stream, lineterminator="\n"), report.get("rows")
         if rows:
             out.writerow(rows[0])
