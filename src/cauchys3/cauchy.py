@@ -17,7 +17,7 @@ import numpy as np
 
 from .frame import Chirality, ScalarField, _as_array, frame_jet
 from .polynomial import evaluate
-from .tensor import cov_matrix, cov_vector, divergence_from_jet, structure_constant, wedge_endo
+from .tensor import cov_components, cov_entries, divergence_components, stack_components, structure_constant, wedge_endo
 
 __all__ = [
     "SymEnd3Field",
@@ -41,6 +41,11 @@ FRAME_PAIRS = ((1, 2), (1, 3), (2, 3))
 
 # the six independent entries of a symmetric 3x3 matrix
 _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
+def _full(u) -> tuple:
+    """The row-major 9-tuple of the symmetric matrix with upper entries u."""
+    return (u[0], u[1], u[2], u[1], u[3], u[4], u[2], u[4], u[5])
 
 
 def _field_values(fields, pts) -> list:
@@ -110,35 +115,29 @@ class SymEnd3Field:
             fields = [f.frame_derivative(k, self.chirality) for f in fields]
         return fields
 
-    @staticmethod
-    def _symmetric(vals, shape) -> np.ndarray:
-        out = np.zeros(shape + (3, 3))
-        for (i, j), val in zip(_UPPER, vals):
-            out[..., i, j] = val
-            out[..., j, i] = val
-        return out
+    def entry_values(self, points) -> tuple:
+        """The row-major 9-tuple of the entries' values at points."""
+        return _full(_field_values(self._upper_fields(), _as_array(points)))
 
     def matrix(self, points) -> np.ndarray:
-        pts = _as_array(points)
-        return self._symmetric(_field_values(self._upper_fields(), pts), pts.shape[:-1])
+        return stack_components(self.entry_values(points), 2)
 
     def frame_derivative_matrix(self, k: int, points) -> np.ndarray:
         """Entrywise e_k-derivative (same chirality as the frame)."""
-        pts = _as_array(points)
-        return self._symmetric(_field_values(self._upper_fields(k), pts), pts.shape[:-1])
+        return stack_components(_full(_field_values(self._upper_fields(k), _as_array(points))), 2)
+
+    def jet_components(self, points) -> list:
+        """[m, dm_1, dm_2, dm_3]: the row-major 9-tuples of the entries and
+        of their e_1, e_2, e_3-derivatives, from one `frame_jet` call (one
+        power table for exact entries, one flow pair per direction for
+        finite-difference ones)."""
+        return [_full(vals) for vals in frame_jet(self._upper_fields(), _as_array(points), self.chirality)]
 
     def jet(self, points) -> tuple:
-        """(M, (dM_1, dM_2, dM_3)): the matrix and its three entrywise
-        frame derivatives, evaluated by `frame_jet` (one power table for
-        exact entries, one flow pair per direction for finite-difference
-        ones).  Equal, bit for bit, to `matrix` and
-        `frame_derivative_matrix`."""
-        pts = _as_array(points)
-        M, d1, d2, d3 = (
-            self._symmetric(vals, pts.shape[:-1])
-            for vals in frame_jet(self._upper_fields(), pts, self.chirality)
-        )
-        return M, (d1, d2, d3)
+        """(M, (dM_1, dM_2, dM_3)): `jet_components` as matrices, equal, bit
+        for bit, to `matrix` and `frame_derivative_matrix`."""
+        M, *dM = (stack_components(m, 2) for m in self.jet_components(points))
+        return M, tuple(dM)
 
     # -- linear structure (for curves A + t Adot) ------------------------
     def _from_upper(self, fields) -> "SymEnd3Field":
@@ -269,11 +268,31 @@ def _frame_directions(x, y, pair):
     return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
 
 
+def _lin(terms):
+    """sum of c * v over (c, v), constant c, in order and from +0 as numpy
+    sums it: c == 0 adds a zero and is skipped, c == +-1 needs no product,
+    and no v here is -0, so a leading unit term needs no +0."""
+    out = None
+    for c, v in terms:
+        if c != 0.0:
+            t = v if c == 1.0 or c == -1.0 else c * v
+            if out is None:
+                out = t if c == 1.0 else (0.0 - t if c == -1.0 else 0.0 + t)
+            else:
+                out = out - t if c == -1.0 else out + t
+    return 0.0 if out is None else out
+
+
+def _apply(m, x, i: int):
+    """(M X)_i, 9-tuple m, constant x, in numpy's einsum order (0, 2, 1)."""
+    return _lin((x[j], m[3 * i + j]) for j in (0, 2, 1))
+
+
 def modified_connection(A: SymEnd3Field, points, a: int, b: int) -> np.ndarray:
     """nabla^A_{e_a} e_b = nabla_{e_a} e_b + (*A(e_a))(e_b), frame coefficients."""
-    eb = np.eye(3)[b - 1]  # a constant field: its derivatives vanish
-    acol = np.einsum("...ij,j->...i", A.matrix(points), np.eye(3)[a - 1])
-    return cov_vector(eb, 0.0, a, A.chirality, acol)
+    m = A.entry_values(points)
+    eb = [float(i == b - 1) for i in range(3)]  # a constant field: its derivatives vanish
+    return stack_components(cov_components(eb, (0.0, 0.0, 0.0), a, A.chirality, m[a - 1 :: 3]))
 
 
 def flatness_residual(A: SymEnd3Field, points, x=None, y=None, pair=None) -> np.ndarray:
@@ -283,57 +302,62 @@ def flatness_residual(A: SymEnd3Field, points, x=None, y=None, pair=None) -> np.
     frame pairs).  Zero for all pairs exactly when A solves the central
     equation at the sampled points.
     """
-    M, dM = A.jet(points)
-    return _flatness_from_jet(M, dM, A.chirality, *_frame_directions(x, y, pair))
+    m, *dm = A.jet_components(points)
+    return stack_components(_flatness(m, dm, A.chirality, *_frame_directions(x, y, pair)))
 
 
-def _flatness_from_jet(M, dM, chirality, x, y) -> np.ndarray:
+def _flatness(m, dm, chirality, x, y) -> list:
+    """The residual's components from the 9-tuples of A and its frame
+    derivatives, summed as the matrix form sums them; an entry of
+    nabla_{e_k} A is formed only where a nonzero x_k and y_j reach it."""
+
+    def cov(u, e):  # entry e of nabla_U A = sum_k u_k nabla_{e_k} A
+        return _lin((u[k], cov_entries(m, dm[k], k + 1, chirality, (e,))[0]) for k in range(3) if u[k])
+
+    def applied(u, v, i):  # ((nabla_U A) V)_i
+        return _lin((v[j], cov(u, 3 * i + j)) for j in (0, 2, 1) if v[j])
+
     curv = -wedge_endo(x, y)  # R(X,Y) dual vector
-    covx = np.zeros_like(M)
-    covy = np.zeros_like(M)
-    for k in range(3):
-        if x[k] == 0.0 and y[k] == 0.0:
-            continue
-        ck = cov_matrix(M, dM[k], k + 1, chirality)
-        if x[k] != 0.0:
-            covx = covx + x[k] * ck
-        if y[k] != 0.0:
-            covy = covy + y[k] * ck
-    dvec = np.einsum("...ij,j->...i", covx, y) - np.einsum("...ij,j->...i", covy, x)
-    ax = np.einsum("...ij,j->...i", M, x)
-    ay = np.einsum("...ij,j->...i", M, y)
-    return curv + dvec + np.cross(ax, ay)
+    ax, ay = ([_apply(m, vec, i) for i in range(3)] for vec in (x, y))
+    out = []
+    for i in range(3):
+        r = applied(x, y, i) - applied(y, x, i)
+        r = curv[i] + r if curv[i] else r  # -0 + r is r
+        out.append(r + (ax[i - 2] * ay[i - 1] - ax[i - 1] * ay[i - 2]))  # + A(X) x A(Y), as np.cross forms it
+    return out
+
+
+_SQRT2 = np.sqrt(2.0)
+
+
+def _norm(r):
+    """sqrt(2) |r| for a 3-tuple r, summed as np.linalg.norm sums it."""
+    return _SQRT2 * np.sqrt((r[0] * r[0] + r[1] * r[1]) + r[2] * r[2])
 
 
 def residual_norm(dual) -> np.ndarray:
     """Frobenius norm of the skew endomorphism with the given dual vector."""
-    dual = np.asarray(dual, dtype=float)
-    return np.sqrt(2.0) * np.linalg.norm(dual, axis=-1)
+    return _norm(np.moveaxis(np.asarray(dual, dtype=float), -1, 0))
 
 
 def flatness_residual_norms(A: SymEnd3Field, points) -> np.ndarray:
     """Frobenius residual norms over the three frame pairs: shape (...,3)."""
-    M, dM = A.jet(points)
-    vals = [
-        residual_norm(_flatness_from_jet(M, dM, A.chirality, *_frame_directions(None, None, p)))
-        for p in FRAME_PAIRS
-    ]
-    return np.stack(vals, axis=-1)
+    m, *dm = A.jet_components(points)
+    return stack_components(
+        [_norm(_flatness(m, dm, A.chirality, *_frame_directions(None, None, p))) for p in FRAME_PAIRS]
+    )
 
 
 def gauss_codazzi_residual(A: SymEnd3Field, points):
     """(6 - tr(A)^2 + tr(A^2),  delta^nabla A + d tr A) on the round sphere."""
-    M, dM = A.jet(points)
-    tr = np.trace(M, axis1=-2, axis2=-1)
-    tr2 = np.einsum("...ij,...ji->...", M, M)
-    scalar = 6.0 - tr**2 + tr2
-
-    vec = divergence_from_jet(M, dM, A.chirality)  # delta^nabla A
-    for k in range(3):
-        # d tr A = sum_k e_k(tr A) e_k
-        dtr = sum(dM[k][..., i, i] for i in range(3))
-        vec[..., k] += dtr
-    return scalar, vec
+    m, *dm = A.jet_components(points)
+    tr = (m[0] + m[4]) + m[8]
+    # tr(A^2) = sum_i (sum_j a_ij a_ji), the order of numpy's einsum
+    rows = [(m[3 * i] * m[i] + m[3 * i + 1] * m[3 + i]) + m[3 * i + 2] * m[6 + i] for i in range(3)]
+    scalar = 6.0 - tr**2 + ((rows[0] + rows[1]) + rows[2])
+    div = divergence_components(m, dm, A.chirality)  # delta^nabla A
+    # d tr A = sum_k e_k(tr A) e_k
+    return scalar, stack_components([div[k] + ((dm[k][0] + dm[k][4]) + dm[k][8]) for k in range(3)])
 
 
 def linearized_residual(A: SymEnd3Field, Adot: SymEnd3Field, points, x=None, y=None, pair=None):
@@ -353,20 +377,21 @@ def linearized_residual(A: SymEnd3Field, Adot: SymEnd3Field, points, x=None, y=N
         raise ValueError("A and Adot must share a frame chirality")
     x, y = _frame_directions(x, y, pair)
     pts = _as_array(points)
-    M = A.matrix(pts)
-    N, dNs = Adot.jet(pts)
-    lam = structure_constant(A.chirality)
-    Nx, Ny = (np.einsum("...ij,j->...i", N, vec) for vec in (x, y))
-    out = np.zeros(N.shape[:-2] + (3,))
+    m = A.entry_values(pts)
+    n, *dn = Adot.jet_components(pts)
+    nx, ny = ([_apply(n, vec, i) for i in range(3)] for vec in (x, y))
+    terms = []
     for k in range(3):
         # nabla^A_{e_k} of the coefficient fields q -> Adot(q) y and Adot(q) x
-        ak = np.einsum("...ij,j->...i", M, np.eye(3)[k])
+        ak = m[k :: 3]
         if x[k] != 0.0:
-            out = out + x[k] * cov_vector(Ny, np.einsum("...ij,j->...i", dNs[k], y), k + 1, A.chirality, ak)
+            terms.append((x[k], cov_components(ny, [_apply(dn[k], y, i) for i in range(3)], k + 1, A.chirality, ak)))
         if y[k] != 0.0:
-            out = out - y[k] * cov_vector(Nx, np.einsum("...ij,j->...i", dNs[k], x), k + 1, A.chirality, ak)
-    bracket = lam * np.cross(x, y)
-    return out - np.einsum("...ij,j->...i", N, bracket)
+            terms.append((-y[k], cov_components(nx, [_apply(dn[k], x, i) for i in range(3)], k + 1, A.chirality, ak)))
+    bracket = structure_constant(A.chirality) * np.cross(x, y)
+    return stack_components(
+        [_lin([(c, v[i]) for c, v in terms] + [(-1.0, _apply(n, bracket, i))]) for i in range(3)]
+    )
 
 
 def _symmetry_from_jet(M, x, dx, chirality: Chirality) -> np.ndarray:

@@ -25,7 +25,6 @@ import numpy as np
 from .cauchy import SymEnd3Field, VectorField3, _coerce_entry, _same_entry
 from .frame import Chirality, ScalarField, _as_array
 from .polynomial import Poly, evaluate
-from .tensor import cov_matrix, cov_vector
 
 __all__ = [
     "constant_frame_residual",
@@ -139,11 +138,6 @@ def _solve_rows(jac, f):
 # Hopf reduction of e_1-invariant endomorphism fields
 # ---------------------------------------------------------------------------
 
-# J on xi-perp for xi = e_1:  J e_2 = e_3, J e_3 = -e_2 (J X = -nabla_X xi)
-_J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
-_I2 = np.eye(2)
-
-
 @dataclass
 class HopfReducedData:
     """An e_1-invariant symmetric field split as f xi@xi + v@xi + xi@v + B.
@@ -187,16 +181,6 @@ def hopf_reduce(A: SymEnd3Field, check_invariance: bool = True, seed: int = 321)
     return HopfReducedData(f=f, v=v, B=B)
 
 
-def _twist(m) -> np.ndarray:
-    """m J on the last axis, for J e_2 = e_3, J e_3 = -e_2: columns (m_1, -m_0)."""
-    return np.stack([m[..., 1], -m[..., 0]], axis=-1)
-
-
-def _lift(x, rank: int) -> np.ndarray:
-    """A vector (rank 1) or endomorphism (rank 2) of xi-perp, extended by zero on xi."""
-    return np.pad(x, [(0, 0)] * (x.ndim - rank) + [(1, 0)] * rank)
-
-
 def hopf_reduction_residual(h: HopfReducedData, points) -> np.ndarray:
     """Magnitudes of the four reduced equations at each point: shape (...,4).
 
@@ -206,52 +190,37 @@ def hopf_reduction_residual(h: HopfReducedData, points) -> np.ndarray:
       3. 2(1+f) - det(B+1) - d*(Jv)
       4. delta-bar(B J) - J (B+3) J v
 
-    f, v, B and their e_2, e_3 derivatives come from one jet of the
-    left-frame field they assemble (B is read from its upper triangle).
-    Base covariant derivatives of the basic fields are the horizontal
-    projections of round S^3 derivatives (Riemannian submersion), with
-    v and B J extended by zero on xi.
+    J e_2 = e_3, J e_3 = -e_2 (J X = -nabla_X xi), so Jv = (-v_3, v_2).  f, v,
+    B and their e_2, e_3 derivatives come from one jet of the left-frame
+    field they assemble (B is read from its upper triangle).  Base
+    covariant derivatives of basic fields are horizontal projections of
+    round S^3 ones (Riemannian submersion), taken of v, Jv and B J extended
+    by zero on xi, where Gamma_2 and Gamma_3 have no horizontal part: they
+    are the frame derivatives of the components.  Each sum runs in the
+    order of the matrix form this replaced, so the magnitudes keep its bits.
     """
-    pts = _as_array(points)
-    shape = pts.shape[:-1]
     A = SymEnd3Field(
         [[h.f, h.v[0], h.v[1]], [h.v[0], h.B[0][0], h.B[0][1]], [h.v[1], h.B[0][1], h.B[1][1]]],
         Chirality.LEFT,
     )
-    M, (_, d2, d3) = A.jet(pts)
-    f = M[..., 0, 0]
-    v = M[..., 0, 1:]
-    B = M[..., 1:, 1:]
-    Bp1 = B + _I2
-    jv = np.einsum("ij,...j->...i", _J2, v)
-
-    # v, Jv = -v3 e2 + v2 e3 and B J extended by zero on xi, differentiated along e_2, e_3
-    vh, jvh, bjh = _lift(v, 1), _lift(-_twist(v), 1), _lift(_twist(B), 2)
-    Dv = np.zeros(shape + (2, 2))  # Dv[..., j, i] = <nabla-bar_{e_{i+2}} v, e_{j+2}>
-    div_jv = np.zeros(shape)
-    delta_bj = np.zeros(shape + (2,))  # -sum_i (nabla-bar_{e_i} BJ)(e_i)
-    for i, dM in enumerate((d2, d3)):
-        dv = dM[..., 0, 1:]
-        Dv[..., :, i] = cov_vector(vh, _lift(dv, 1), i + 2)[..., 1:]
-        div_jv = div_jv + cov_vector(jvh, _lift(-_twist(dv), 1), i + 2)[..., i + 1]
-        delta_bj = delta_bj - cov_matrix(bjh, _lift(_twist(dM[..., 1:, 1:]), 2), i + 2)[..., 1:, i + 1]
-
-    df = np.stack([d2[..., 0, 0], d3[..., 0, 0]], axis=-1)
-    r1 = np.einsum("...ij,...j->...i", Bp1, jv) - df
-    outer = np.einsum("...i,...j->...ij", jv, v)  # (v ox Jv)(X) = g(v,X) Jv
-    r2 = (f - 1.0)[..., None, None] * np.einsum("ij,...jk->...ik", _J2, Bp1) - Dv - outer
-    det = Bp1[..., 0, 0] * Bp1[..., 1, 1] - Bp1[..., 0, 1] * Bp1[..., 1, 0]
-    r3 = 2.0 * (1.0 + f) - det + div_jv  # d*(Jv) = -div(Jv)
-    rhs4 = np.einsum("ij,...j->...i", _J2, np.einsum("...ij,...j->...i", B + 3.0 * _I2, jv))
-    r4 = delta_bj - rhs4
-
+    m, _, d2, d3 = A.jet_components(points)
+    f, v2, v3, b22, b23, b33 = m[0], m[1], m[2], m[4], m[5], m[8]
+    p22, p33 = b22 + 1.0, b33 + 1.0  # B + 1
+    fm1 = f - 1.0
+    # up to sign: (B+1) J v - df;  (f-1) J (B+1) - nabla-bar v - v (x) Jv;  ...
+    r1 = ((b23 * v2 - p22 * v3) - d2[0], (p33 * v2 - b23 * v3) - d3[0])
+    r2 = (
+        (fm1 * b23 + d2[1]) - v3 * v2,
+        (fm1 * p33 + d3[1]) - v3 * v3,
+        (fm1 * p22 - d2[2]) - v2 * v2,
+        (fm1 * b23 - d3[2]) - v2 * v3,
+    )
+    r3 = (2.0 * (1.0 + f) - (p22 * p33 - b23 * b23)) + (d3[1] - d2[2])  # d*(Jv) = -div(Jv)
+    jb3 = ((b33 + 3.0) * v2 - b23 * v3, (b22 + 3.0) * v3 - b23 * v2)  # -J (B+3) J v
+    r4 = ((d3[4] - d2[5]) + jb3[0], (d3[5] - d2[8]) + jb3[1])  # delta-bar(BJ) = (e_3 b22 - e_2 b23, e_3 b23 - e_2 b33)
+    a = [np.abs(r) for r in (*r1, *r2, r3, *r4)]
     return np.stack(
-        [
-            np.max(np.abs(r1), axis=-1),
-            np.max(np.abs(r2), axis=(-2, -1)),
-            np.abs(r3),
-            np.max(np.abs(r4), axis=-1),
-        ],
+        [np.maximum(a[0], a[1]), np.maximum(np.maximum(a[2], a[3]), np.maximum(a[4], a[5])), a[6], np.maximum(a[7], a[8])],
         axis=-1,
     )
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cauchy import SymEnd3Field, VectorField3
-from .frame import Chirality, ScalarField, _as_array, harmonic_quadratic
-from .tensor import cov_vector, structure_constant
+from .frame import Chirality, ScalarField, _as_array, frame_jet, harmonic_quadratic
+from .tensor import cov_components, stack_components, structure_constant
 
 __all__ = [
     "A0",
@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 A0_MATRIX = np.diag([1.0, -3.0, -3.0])
+_A0_COLUMNS = [A0_MATRIX[:, i].tolist() for i in range(3)]
 A0 = SymEnd3Field.from_constant_matrix(A0_MATRIX, Chirality.LEFT)
 
 # Lie derivatives of A0 along e_2 and e_3 (constant matrices)
@@ -159,8 +160,14 @@ def nabla_A0_of_deformation(d: DeformVector, points) -> np.ndarray:
     matrix is symmetric with zero diagonal, zero (2,3)-entry, and
     constant entries (1,2) = -2 c3, (1,3) = 2 c2.
     """
-    vals, dX = deformation_field(d).jet(points)
-    return np.stack([cov_vector(vals, dX[i], i + 1, ak=A0_MATRIX[:, i]) for i in range(3)], axis=-1)
+    return _nabla_A0(deformation_field(d), _as_array(points))[1]
+
+
+def _nabla_A0(X: VectorField3, pts) -> tuple:
+    """The (..., 3) values of X and the (..., 3, 3) matrix of nabla^{A0} X, from one jet."""
+    x, *dx = frame_jet(X.components, pts, X.chirality)
+    cols = [cov_components(x, dx[i], i + 1, Chirality.LEFT, _A0_COLUMNS[i]) for i in range(3)]
+    return stack_components(x), stack_components([c[j] for j in range(3) for c in cols], 2)
 
 
 def deformation_report(points, tol: float = 1e-10) -> dict:
@@ -178,9 +185,8 @@ def deformation_report(points, tol: float = 1e-10) -> dict:
     images = []
     pairing_err = 0.0
     for d in basis:
-        vals, dX = deformation_field(d).jet(pts)
+        vals, img = _nabla_A0(deformation_field(d), pts)
         rows.append(vals.reshape(-1))
-        img = np.stack([cov_vector(vals, dX[i], i + 1, ak=A0_MATRIX[:, i]) for i in range(3)], axis=-1)
         pred = -0.25 * (d.c2 * LIE_E2_A0 + d.c3 * LIE_E3_A0)
         pairing_err = max(pairing_err, float(np.max(np.abs(img - pred))))
         images.append(img.mean(axis=tuple(range(img.ndim - 2))).reshape(-1))

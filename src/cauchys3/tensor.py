@@ -11,6 +11,13 @@ s acts as Z -> s x Z, i.e. as the matrix hat(s).  With this convention
 and the interior product of X with the 2-form dual to s is s x X.
 The star is the identity on storage; `hat`/`unhat` convert between the
 3-vector and the skew matrix when an endomorphism has to act.
+
+The covariant kernel is component-major: a matrix is a row-major 9-tuple
+of component arrays, a vector a 3-tuple.  Each Gamma_k has one +-1 in
+each row and column other than k, so its products are signed adds,
+with no matmul, einsum or stacking, and each sum runs in the order of
+the matrix form it replaced, whose bits it keeps.  `d_nabla_A` keeps
+that matrix form: it is the independent oracle of the flatness residual.
 """
 
 from __future__ import annotations
@@ -35,6 +42,10 @@ __all__ = [
     "gamma_berger",
     "gamma_berger_orthonormal",
     "curvature_berger",
+    "cov_entries",
+    "cov_components",
+    "divergence_components",
+    "stack_components",
     "cov_matrix",
     "cov_vector",
     "divergence_from_jet",
@@ -93,7 +104,7 @@ def structure_constant(chirality: Chirality) -> float:
 
 
 # _GAMMA_ROUND[chirality][a - 1][c, k] = (lambda / 2) eps_{a k c}, C-ordered:
-# a transposed view would send every matmul with it down a slower path
+# a transposed view would send d_nabla_A's matmuls with it down a slower path
 _GAMMA_ROUND = {
     chir: np.ascontiguousarray(0.5 * structure_constant(chir) * _EPS.transpose(0, 2, 1)) for chir in Chirality
 }
@@ -227,11 +238,70 @@ def d_nabla_A(A, points, x, y, connection="round", berger: BergerParams | None =
     return np.einsum("...ij,j->...i", covx, y) - np.einsum("...ij,j->...i", covy, x)
 
 
+# The covariant kernel.  _ROWS[chirality][k - 1][i] = (l, op): row i of
+# Gamma_k holds one nonzero entry, Gamma_k[i, l] = +-1 (lambda/2 = +-1), and
+# op adds or subtracts its product; row k is zero (None).
+_ROWS = {
+    chir: tuple(tuple(next(((l, np.add if g[i, l] > 0 else np.subtract) for l in range(3) if g[i, l]), None) for i in range(3)) for g in table)
+    for chir, table in _GAMMA_ROUND.items()
+}
+
+
+def cov_entries(m, dm, k: int, chirality: Chirality = Chirality.LEFT, entries=range(9)) -> list:
+    """Entries 3i + j of nabla_{e_k} A = dA_k + [Gamma_k, A] (round metric)
+    from the 9-tuples m of A and dm of its e_k-derivative, added as the
+    matrix form (dm + G m) - m G adds them: its bits whenever dm holds no
+    -0, as no jet does (sums start from +0)."""
+    rows, out = _ROWS[chirality][k - 1], []
+    for i, j in (divmod(e, 3) for e in entries):
+        v = dm[3 * i + j]
+        if rows[i]:  # + Gamma_k[i, l] A_lj
+            v = rows[i][1](v, m[3 * rows[i][0] + j])
+        if rows[j]:  # - A_il Gamma_k[l, j] = + Gamma_k[j, l] A_il
+            v = rows[j][1](v, m[3 * i + rows[j][0]])
+        out.append(v)
+    return out
+
+
+def cov_components(w, dw, k: int, chirality: Chirality = Chirality.LEFT, a=None) -> tuple:
+    """nabla_{e_k} W = dW_k + Gamma_k W from the 3-tuples w of W and dw of
+    its e_k-derivative; given a = A(e_k), nabla^A_{e_k} W = dW_k + b x W,
+    as Gamma_k + hat(a) = hat(b), b = a + (lambda/2) e_k, entry for entry.
+    The matrix form's bits whenever dw holds no -0."""
+    rows = _ROWS[chirality][k - 1]
+    if a is None:
+        return tuple(dw[i] if rows[i] is None else rows[i][1](dw[i], w[rows[i][0]]) for i in range(3))
+    b = list(a)
+    b[k - 1] = a[k - 1] + 0.5 * structure_constant(chirality)
+    return tuple(dw[i] + (b[i - 2] * w[i - 1] - b[i - 1] * w[i - 2]) for i in range(3))
+
+
+def divergence_components(m, dm, chirality: Chirality = Chirality.LEFT) -> tuple:
+    """delta^nabla A = -sum_k (nabla_{e_k} A)(e_k) from the 9-tuples m of A
+    and dm[k] of its e_{k+1}-derivative."""
+    c = [cov_entries(m, dm[k], k + 1, chirality, (k, 3 + k, 6 + k)) for k in range(3)]
+    return tuple(((0.0 - c[0][i]) - c[1][i]) - c[2][i] for i in range(3))
+
+
+def stack_components(components, k: int = 1) -> np.ndarray:
+    """Components (arrays or floats) as one array with k trailing axes of 3."""
+    out = np.empty(np.broadcast_shapes(*map(np.shape, components)) + (len(components),))
+    for i, c in enumerate(components):
+        out[..., i] = c
+    return out.reshape(out.shape[:-1] + (3,) * k)
+
+
+# The array wrappers add 0.0 to the derivative, which turns -0 into +0 as
+# the matrix form's sums do: its bits for any finite input.
+def _entries(M) -> tuple:
+    M = np.asarray(M, dtype=float)
+    return tuple(M[..., i, j] for i in range(3) for j in range(3))
+
+
 def cov_matrix(M, dMk, k: int, chirality: Chirality = Chirality.LEFT) -> np.ndarray:
     """nabla_{e_k} A as a frame matrix, dA_k + [Gamma_k, A], from the
     matrix M of A and its entrywise e_k-derivative dMk (round metric)."""
-    G = gamma_round(k, chirality)
-    return dMk + G @ M - M @ G
+    return stack_components(cov_entries(_entries(M), _entries(np.add(dMk, 0.0)), k, chirality), 2)
 
 
 def cov_vector(w, dwk, k: int, chirality: Chirality = Chirality.LEFT, ak=None) -> np.ndarray:
@@ -239,24 +309,20 @@ def cov_vector(w, dwk, k: int, chirality: Chirality = Chirality.LEFT, ak=None) -
     coefficients w of W and their e_k-derivatives dwk.  Given ak, the
     coefficients of A(e_k), it is nabla^A_{e_k} W = nabla_{e_k} W + A(e_k) x W,
     the modified connection nabla + *(A(.)).  Batched over leading axes."""
-    G = gamma_round(k, chirality)
-    if ak is not None:
-        G = G + hat(ak)
-    return dwk + np.einsum("...ij,...j->...i", G, w)
+    w, dw = np.broadcast_arrays(np.asarray(w, dtype=float), np.add(dwk, 0.0))
+    a = None if ak is None else np.moveaxis(np.asarray(ak, dtype=float), -1, 0)
+    return stack_components(cov_components(np.moveaxis(w, -1, 0), np.moveaxis(dw, -1, 0), k, chirality, a))
 
 
 def divergence_from_jet(M, dM, chirality: Chirality = Chirality.LEFT) -> np.ndarray:
     """delta^nabla A = -sum_k (nabla_{e_k} A)(e_k) from the jet (M, (dM_1, dM_2, dM_3))."""
-    out = np.zeros(M.shape[:-2] + (3,))
-    for k in range(3):
-        out = out - cov_matrix(M, dM[k], k + 1, chirality)[..., :, k]
-    return out
+    return stack_components(divergence_components(_entries(M), [_entries(np.add(d, 0.0)) for d in dM], chirality))
 
 
 def divergence_A(A, points) -> np.ndarray:
     """delta^nabla A = -sum_k (nabla_{e_k} A)(e_k) for the round metric.
 
-    A must expose `jet(points) -> (M, (dM_1, dM_2, dM_3))`; it is taken
-    once per call."""
-    M, dM = A.jet(points)
-    return divergence_from_jet(M, dM, A.chirality)
+    A must expose `jet_components(points) -> [m, dm_1, dm_2, dm_3]`, each
+    a row-major 9-tuple; it is taken once per call."""
+    m, *dm = A.jet_components(points)
+    return stack_components(divergence_components(m, dm, A.chirality))

@@ -1,9 +1,16 @@
-"""The covariant kernel `tensor.cov_vector` against the assemblies it replaced.
+"""The covariant kernel of `tensor` against the assemblies it replaced.
 
 linearized_residual, nabla^{A0} X and modified_connection each built
 Gamma_k (+ hat(A e_k)) and applied it by hand before the kernel existed;
 those assemblies, and the loops that built the connection tables, are
 copied here as references and must agree with the kernel path bit for bit.
+
+The component-major kernel (`cov_entries`, `cov_components`,
+`divergence_components`) replaced the matrix-form `cov_matrix`
+(`dMk + G @ M - M @ G`), `cov_vector` (an einsum with Gamma_k + hat(ak))
+and `divergence_from_jet`, and the flatness and Gauss-Codazzi assemblies
+built on them.  Those bodies are copied here too; the kernel and its
+array wrappers must give their bytes, signed zeros included.
 """
 
 import numpy as np
@@ -28,13 +35,21 @@ from cauchys3.deformation import (
 from cauchys3.frame import Chirality, ScalarField, random_points
 from cauchys3.tensor import (
     BergerParams,
+    cov_components,
+    cov_entries,
+    cov_matrix,
     cov_vector,
+    divergence_A,
+    divergence_components,
+    divergence_from_jet,
     gamma_berger,
     gamma_berger_orthonormal,
     gamma_round,
     hat,
     structure_constant,
+    wedge_endo,
 )
+from cauchys3.cauchy import flatness_residual, flatness_residual_norms, gauss_codazzi_residual, residual_norm
 
 _EPS = np.zeros((3, 3, 3))
 for _i, _j, _k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
@@ -173,3 +188,162 @@ def test_nabla_A0_matches_hand_assembly():
         vals, dX = Xfd.jet(pts)
         got = np.stack([cov_vector(vals, dX[i], i + 1, ak=A0_MATRIX[:, i]) for i in range(3)], axis=-1)
         assert np.array_equal(got, _ref_nabla_A0(vals, dX))
+
+
+# -- the matrix-form kernel and its consumers, as they were ------------------
+
+
+def _ref_cov_matrix(M, dMk, k, chirality=Chirality.LEFT):
+    G = _ref_gamma_round(k, chirality)
+    return dMk + G @ M - M @ G
+
+
+def _ref_cov_vector(w, dwk, k, chirality=Chirality.LEFT, ak=None):
+    G = _ref_gamma_round(k, chirality)
+    if ak is not None:
+        G = G + hat(ak)
+    return dwk + np.einsum("...ij,...j->...i", G, w)
+
+
+def _ref_divergence_from_jet(M, dM, chirality=Chirality.LEFT):
+    out = np.zeros(M.shape[:-2] + (3,))
+    for k in range(3):
+        out = out - _ref_cov_matrix(M, dM[k], k + 1, chirality)[..., :, k]
+    return out
+
+
+def _ref_flatness_from_jet(M, dM, chirality, x, y):
+    curv = -wedge_endo(x, y)
+    covx = np.zeros_like(M)
+    covy = np.zeros_like(M)
+    for k in range(3):
+        if x[k] == 0.0 and y[k] == 0.0:
+            continue
+        ck = _ref_cov_matrix(M, dM[k], k + 1, chirality)
+        if x[k] != 0.0:
+            covx = covx + x[k] * ck
+        if y[k] != 0.0:
+            covy = covy + y[k] * ck
+    dvec = np.einsum("...ij,j->...i", covx, y) - np.einsum("...ij,j->...i", covy, x)
+    ax = np.einsum("...ij,j->...i", M, x)
+    ay = np.einsum("...ij,j->...i", M, y)
+    return curv + dvec + np.cross(ax, ay)
+
+
+def _ref_gauss_codazzi(M, dM, chirality):
+    tr = np.trace(M, axis1=-2, axis2=-1)
+    tr2 = np.einsum("...ij,...ji->...", M, M)
+    scalar = 6.0 - tr**2 + tr2
+    vec = _ref_divergence_from_jet(M, dM, chirality)
+    for k in range(3):
+        vec[..., k] += sum(dM[k][..., i, i] for i in range(3))
+    return scalar, vec
+
+
+def _ref_residual_norm(dual):
+    return np.sqrt(2.0) * np.linalg.norm(dual, axis=-1)
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _with_zeros(rng, a, signed=True):
+    """a with about a third of its entries set to exact zeros, -0 among them if signed."""
+    a = a.copy()
+    zeros = rng.random(a.shape) < 0.35
+    a[zeros] = np.where(rng.random(a.shape) < 0.5, -0.0, 0.0)[zeros] if signed else 0.0
+    return a
+
+
+def _symmetric(rng, shape, signed=True):
+    m = rng.normal(size=shape + (3, 3)) * 10.0 ** rng.integers(-3, 4, size=shape + (3, 3))
+    m = _with_zeros(rng, m, signed)
+    return np.where(np.tri(3, k=-1, dtype=bool), np.swapaxes(m, -1, -2), m)  # copies keep -0
+
+
+_KERNEL_SHAPES = ((400,), (), (3, 8))
+
+
+def _rng(salt, chirality, shape):
+    return np.random.default_rng([salt, int(chirality is Chirality.LEFT), *shape])
+
+
+@pytest.mark.parametrize("chirality", list(Chirality))
+@pytest.mark.parametrize("shape", _KERNEL_SHAPES)
+def test_cov_matrix_kernel_bytes(chirality, shape):
+    rng = _rng(0, chirality, shape)
+    M = _symmetric(rng, shape)
+    general = _with_zeros(rng, rng.normal(size=shape + (3, 3)))
+    for k in (1, 2, 3):
+        for A in (M, general):
+            dM = _with_zeros(rng, rng.normal(size=shape + (3, 3)))
+            # the array wrapper on any finite input, -0 in the derivative too
+            assert _same_bytes(cov_matrix(A, dM, k, chirality), _ref_cov_matrix(A, dM, k, chirality))
+            # the kernel itself, on derivatives that hold no -0, as jets do
+            dM = _with_zeros(rng, rng.normal(size=shape + (3, 3)), signed=False)
+            m = [A[..., i, j] for i in range(3) for j in range(3)]
+            dm = [dM[..., i, j] for i in range(3) for j in range(3)]
+            got = cov_entries(m, dm, k, chirality)
+            ref = _ref_cov_matrix(A, dM, k, chirality)
+            assert all(_same_bytes(got[3 * i + j], ref[..., i, j]) for i in range(3) for j in range(3))
+
+
+@pytest.mark.parametrize("chirality", list(Chirality))
+@pytest.mark.parametrize("shape", _KERNEL_SHAPES)
+def test_cov_vector_kernel_bytes(chirality, shape):
+    rng = _rng(1, chirality, shape)
+    for k in (1, 2, 3):
+        for _ in range(3):
+            w = _with_zeros(rng, rng.normal(size=shape + (3,)))
+            ak = _with_zeros(rng, rng.normal(size=shape + (3,)))
+            for a in (None, ak):
+                dw = _with_zeros(rng, rng.normal(size=shape + (3,)))
+                assert _same_bytes(cov_vector(w, dw, k, chirality, a), _ref_cov_vector(w, dw, k, chirality, a))
+                dw = _with_zeros(rng, rng.normal(size=shape + (3,)), signed=False)
+                comps = [np.moveaxis(v, -1, 0) for v in (w, dw)]
+                got = cov_components(*comps, k, chirality, None if a is None else np.moveaxis(a, -1, 0))
+                ref = _ref_cov_vector(w, dw, k, chirality, a)
+                assert all(_same_bytes(got[i], ref[..., i]) for i in range(3))
+
+
+@pytest.mark.parametrize("chirality", list(Chirality))
+@pytest.mark.parametrize("shape", _KERNEL_SHAPES)
+def test_divergence_kernel_bytes(chirality, shape):
+    rng = _rng(2, chirality, shape)
+    M = _symmetric(rng, shape)
+    dM = [_symmetric(rng, shape) for _ in range(3)]
+    assert _same_bytes(divergence_from_jet(M, dM, chirality), _ref_divergence_from_jet(M, dM, chirality))
+    dM = [_symmetric(rng, shape, signed=False) for _ in range(3)]
+    m = [M[..., i, j] for i in range(3) for j in range(3)]
+    dm = [[d[..., i, j] for i in range(3) for j in range(3)] for d in dM]
+    got = divergence_components(m, dm, chirality)
+    ref = _ref_divergence_from_jet(M, dM, chirality)
+    assert all(_same_bytes(got[i], ref[..., i]) for i in range(3))
+
+
+def _kernel_fields():
+    fields = dict(_fields())
+    for kind in ("plus-id", "right-133"):
+        fields[kind] = known_example(kind)
+    return fields
+
+
+@pytest.mark.parametrize("name", ["left-133", "plus-id", "right-133", "quartic", "quartic-fd"])
+def test_consumers_match_matrix_form_bytes(name):
+    A = _kernel_fields()[name]
+    directions = [tuple(np.eye(3)[i - 1] for i in p) for p in FRAME_PAIRS]
+    directions.append((np.array([0.3, -1.1, 0.7]), np.array([1.2, 0.0, -0.4])))
+    for pts in _SHAPES:
+        M, dM = A.jet(pts)
+        for x, y in directions:
+            assert _same_bytes(flatness_residual(A, pts, x, y), _ref_flatness_from_jet(M, dM, A.chirality, x, y))
+        norms = [_ref_residual_norm(_ref_flatness_from_jet(M, dM, A.chirality, *d)) for d in directions[:3]]
+        assert _same_bytes(flatness_residual_norms(A, pts), np.stack(norms, axis=-1))
+        for d in directions:
+            r = _ref_flatness_from_jet(M, dM, A.chirality, *d)
+            assert _same_bytes(residual_norm(r), _ref_residual_norm(r))
+        for got, ref in zip(gauss_codazzi_residual(A, pts), _ref_gauss_codazzi(M, dM, A.chirality), strict=True):
+            assert _same_bytes(got, ref)
+        assert _same_bytes(divergence_A(A, pts), _ref_divergence_from_jet(M, dM, A.chirality))
