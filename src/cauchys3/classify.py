@@ -321,7 +321,10 @@ def _add3(a, b, c):
 
 def _normalize(p):
     d = _dot(p, p)
-    n = math.sqrt(d) if isinstance(d, float) else np.sqrt(d)  # both round correctly
+    one = isinstance(d, float)
+    if not (d if one else d.all()):  # a zero point has no direction; NaN passes and propagates
+        raise ValueError("S² point must be nonzero")
+    n = math.sqrt(d) if one else np.sqrt(d)  # both round correctly
     return (p[0] / n, p[1] / n, p[2] / n)
 
 

@@ -65,10 +65,13 @@ class RunConfig:
         for name, value in (("tolerance", self.tolerance), ("fd-step", self.fd_step)):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {value}")
-        # a central difference over a step beyond the unit sphere's scale
-        # goes to 0 like 1/h, so both sides of a comparison vanish
+        # a central difference goes to 0 like 1/h over a step beyond the unit
+        # sphere's scale, and is 0 below machine epsilon, where p +- h X rounds
+        # to p: either way both sides of a comparison lose their derivatives
         if self.fd_step >= 1:
             raise ValueError(f"fd-step must be below 1, got {self.fd_step}")
+        if self.fd_step < sys.float_info.epsilon:
+            raise ValueError(f"fd-step must be at least machine epsilon ({sys.float_info.epsilon:.3g}), got {self.fd_step}")
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +162,8 @@ def _config_block(config: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# a finite field spec whose values or residuals overflow ends in FloatingPointError, not in warnings
+@np.errstate(over="raise")
 def cmd_verify(args, config: RunConfig) -> int:
     if (args.builtin is None) == (args.expr is None):
         print("verify: give exactly one of --builtin / --expr", file=sys.stderr)
@@ -171,10 +176,14 @@ def cmd_verify(args, config: RunConfig) -> int:
         print(f"verify: {exc}", file=sys.stderr)
         return EXIT_INPUT
     pts = random_points(config.samples, seed=config.seed)
-    norms = flatness_residual_norms(field, pts)
-    gc_scalar, gc_vec = gauss_codazzi_residual(field, pts)
+    try:
+        norms = flatness_residual_norms(field, pts)
+        gc_scalar, gc_vec = gauss_codazzi_residual(field, pts)
+        rms = float(np.sqrt(np.mean(norms**2)))
+    except FloatingPointError as exc:
+        print(f"verify: field too large for floating point: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     max_res = float(np.max(norms))
-    rms = float(np.sqrt(np.mean(norms**2)))
     passed = max_res < config.tolerance
     report = {
         "schema": SCHEMA_VERSION,

@@ -461,6 +461,16 @@ def test_fd_step_beyond_unit_scale_rejected(capsys):
     assert main(["--fd-step", "1", "rigidity"]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("step", ["1e-300", "1e-17"])
+def test_fd_step_below_machine_epsilon_rejected(step, capsys):
+    # p +- h X rounds to p, so every central difference is exactly 0 and the
+    # Codazzi check would compare two derivative-free sides
+    code, out = run_cli(["--fd-step", step, "rigidity"])
+    assert code == EXIT_INPUT and out == ""
+    err = capsys.readouterr().err
+    assert "fd-step" in err and "machine epsilon" in err
+
+
 def test_fd_step_below_one_runs():
     code, out = run_cli(["--fd-step", "0.5", "--samples", "10", "rigidity"])
     assert code == EXIT_TOLERANCE  # a coarse step fails the check honestly
@@ -506,6 +516,15 @@ def test_verify_overflowing_field_output_is_strict_json(capsys):
         assert code == EXIT_INPUT and out == ""
         err = capsys.readouterr().err
         assert err.startswith("verify: ") and "not finite" in err
+    # finite coefficients whose values or residuals overflow, with every
+    # numpy warning an error and no errstate around the run
+    for spec in ["diag(1e308*a1^2,1,1)", "diag(1e308 + 1e308*a1,1,1)"]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(["--samples", "20", "verify", "--expr", spec])
+        assert code == EXIT_INPUT and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("verify: field too large for floating point: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("power", ["a1^1e9", "a1^1e400", "a1^17", "a1^9*a2^9"])

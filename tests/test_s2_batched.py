@@ -283,3 +283,22 @@ def test_exact_codazzi_same_bits_at_every_shape(seed):
         got = cls.codazzi_divfree_equiv(S, pts.reshape(shape + (3,)))
         assert np.array_equal(got[0].reshape(N, 3), lhs) and np.array_equal(got[1].reshape(N, 3), rhs)
 
+
+
+def test_zero_point_is_rejected():
+    # alone (Python floats) and inside a batch (arrays): one ValueError,
+    # not a ZeroDivisionError or a NaN with a warning
+    exact = cls.S2EndField.from_polynomial_matrix(_perturbation(1))
+    calls = [
+        cls.tangent_basis,
+        exact.value,
+        lambda p: cls.s2_rigidity_residual(exact, p),
+        lambda p: cls.codazzi_divfree_equiv(exact, p),
+        lambda p: cls.codazzi_divfree_equiv(cls.S2EndField(func=exact.raw), p),
+    ]
+    batch = cls.random_s2_points(4, seed=2)
+    batch[2] = 0.0
+    for p in (np.zeros(3), batch, batch.reshape(2, 2, 3)):
+        for call in calls:
+            with pytest.raises(ValueError, match="S² point must be nonzero"):
+                call(p)
