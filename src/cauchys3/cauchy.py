@@ -17,7 +17,8 @@ import numpy as np
 
 from .frame import Chirality, ScalarField, _as_array, frame_jet
 from .polynomial import evaluate
-from .tensor import cov_components, cov_entries, divergence_components, stack_components, structure_constant, wedge_endo
+from .tensor import cov_components, cov_entries, cross_components, divergence_components, stack_components
+from .tensor import structure_constant, wedge_endo
 
 __all__ = [
     "SymEnd3Field",
@@ -318,12 +319,11 @@ def _flatness(m, dm, chirality, x, y) -> list:
         return _lin((v[j], cov(u, 3 * i + j)) for j in (0, 2, 1) if v[j])
 
     curv = -wedge_endo(x, y)  # R(X,Y) dual vector
-    ax, ay = ([_apply(m, vec, i) for i in range(3)] for vec in (x, y))
+    axy = cross_components(*([_apply(m, vec, i) for i in range(3)] for vec in (x, y)))  # A(X) x A(Y)
     out = []
     for i in range(3):
         r = applied(x, y, i) - applied(y, x, i)
-        r = curv[i] + r if curv[i] else r  # -0 + r is r
-        out.append(r + (ax[i - 2] * ay[i - 1] - ax[i - 1] * ay[i - 2]))  # + A(X) x A(Y), as np.cross forms it
+        out.append((curv[i] + r if curv[i] else r) + axy[i])  # -0 + r is r
     return out
 
 

@@ -25,6 +25,7 @@ import numpy as np
 from .cauchy import SymEnd3Field, VectorField3, _coerce_entry, _same_entry
 from .frame import Chirality, ScalarField, _as_array
 from .polynomial import Poly, evaluate
+from .tensor import cross_components
 
 __all__ = [
     "constant_frame_residual",
@@ -207,7 +208,8 @@ def hopf_reduction_residual(h: HopfReducedData, points) -> np.ndarray:
     f, v2, v3, b22, b23, b33 = m[0], m[1], m[2], m[4], m[5], m[8]
     p22, p33 = b22 + 1.0, b33 + 1.0  # B + 1
     fm1 = f - 1.0
-    # up to sign: (B+1) J v - df;  (f-1) J (B+1) - nabla-bar v - v (x) Jv;  ...
+    # the components of equations 1-4 (v2, v3 and b22, b23, b33 along e_2, e_3), some
+    # negated: only their magnitudes are returned
     r1 = ((b23 * v2 - p22 * v3) - d2[0], (p33 * v2 - b23 * v3) - d3[0])
     r2 = (
         (fm1 * b23 + d2[1]) - v3 * v2,
@@ -219,10 +221,8 @@ def hopf_reduction_residual(h: HopfReducedData, points) -> np.ndarray:
     jb3 = ((b33 + 3.0) * v2 - b23 * v3, (b22 + 3.0) * v3 - b23 * v2)  # -J (B+3) J v
     r4 = ((d3[4] - d2[5]) + jb3[0], (d3[5] - d2[8]) + jb3[1])  # delta-bar(BJ) = (e_3 b22 - e_2 b23, e_3 b23 - e_2 b33)
     a = [np.abs(r) for r in (*r1, *r2, r3, *r4)]
-    return np.stack(
-        [np.maximum(a[0], a[1]), np.maximum(np.maximum(a[2], a[3]), np.maximum(a[4], a[5])), a[6], np.maximum(a[7], a[8])],
-        axis=-1,
-    )
+    r2max = np.maximum(np.maximum(a[2], a[3]), np.maximum(a[4], a[5]))
+    return np.stack([np.maximum(a[0], a[1]), r2max, a[6], np.maximum(a[7], a[8])], axis=-1)
 
 
 def special_case_residual(f: ScalarField, B, points) -> np.ndarray:
@@ -295,11 +295,6 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _cross(a, b):
-    """a x b by np.cross's products and differences, so the same bits."""
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-
-
 def _mv(m, v):
     v0, v1, v2 = v
     return (m[0] * v0 + m[1] * v1 + m[2] * v2, m[3] * v0 + m[4] * v1 + m[5] * v2, m[6] * v0 + m[7] * v1 + m[8] * v2)
@@ -349,8 +344,8 @@ def _frame(p) -> tuple:
     p x e_k normalized, for the first k of least |p_k| (as np.argmin finds it)."""
     a0, a1, a2 = abs(p[0]), abs(p[1]), abs(p[2])
     e_k = ((a0 <= a1) & (a0 <= a2), (a1 < a0) & (a1 <= a2), (a2 < a0) & (a2 < a1))
-    x = _normalize(_cross(p, e_k))
-    frame = (x, _cross(p, x))
+    x = _normalize(cross_components(p, e_k))
+    frame = (x, cross_components(p, x))
     proj = _projector(p)
     dprojs = [tuple(-u * b - a * v for u, a in zip(f, p) for v, b in zip(f, p)) for f in frame]
     return frame, proj, dprojs

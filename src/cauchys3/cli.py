@@ -71,7 +71,8 @@ class RunConfig:
         if self.fd_step >= 1:
             raise ValueError(f"fd-step must be below 1, got {self.fd_step}")
         if self.fd_step < sys.float_info.epsilon:
-            raise ValueError(f"fd-step must be at least machine epsilon ({sys.float_info.epsilon:.3g}), got {self.fd_step}")
+            eps = sys.float_info.epsilon
+            raise ValueError(f"fd-step must be at least machine epsilon ({eps:.3g}), got {self.fd_step}")
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ __all__ = [
     "cov_entries",
     "cov_components",
     "divergence_components",
+    "cross_components",
     "stack_components",
     "cov_matrix",
     "cov_vector",
@@ -242,9 +243,17 @@ def d_nabla_A(A, points, x, y, connection="round", berger: BergerParams | None =
 # Gamma_k holds one nonzero entry, Gamma_k[i, l] = +-1 (lambda/2 = +-1), and
 # op adds or subtracts its product; row k is zero (None).
 _ROWS = {
-    chir: tuple(tuple(next(((l, np.add if g[i, l] > 0 else np.subtract) for l in range(3) if g[i, l]), None) for i in range(3)) for g in table)
+    chir: tuple(
+        tuple(next(((l, np.add if g[i, l] > 0 else np.subtract) for l in range(3) if g[i, l]), None) for i in range(3))
+        for g in table
+    )
     for chir, table in _GAMMA_ROUND.items()
 }
+
+
+def cross_components(a, b) -> tuple:
+    """a x b for 3-tuples, by np.cross's products and differences, so the same bits."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
 def cov_entries(m, dm, k: int, chirality: Chirality = Chirality.LEFT, entries=range(9)) -> list:
@@ -273,7 +282,7 @@ def cov_components(w, dw, k: int, chirality: Chirality = Chirality.LEFT, a=None)
         return tuple(dw[i] if rows[i] is None else rows[i][1](dw[i], w[rows[i][0]]) for i in range(3))
     b = list(a)
     b[k - 1] = a[k - 1] + 0.5 * structure_constant(chirality)
-    return tuple(dw[i] + (b[i - 2] * w[i - 1] - b[i - 1] * w[i - 2]) for i in range(3))
+    return tuple(d + c for d, c in zip(dw, cross_components(b, w)))
 
 
 def divergence_components(m, dm, chirality: Chirality = Chirality.LEFT) -> tuple:
