@@ -17,8 +17,8 @@ import numpy as np
 
 from .frame import Chirality, ScalarField, _as_array, frame_jet
 from .polynomial import evaluate
-from .tensor import cov_components, cov_entries, cross_components, divergence_components, stack_components
-from .tensor import structure_constant, wedge_endo
+from .tensor import cov_components, cov_entries, cross_components, divergence_components, dot_components
+from .tensor import stack_components, structure_constant, wedge_endo
 
 __all__ = [
     "SymEnd3Field",
@@ -134,12 +134,6 @@ class SymEnd3Field:
         finite-difference ones)."""
         return [_full(vals) for vals in frame_jet(self._upper_fields(), _as_array(points), self.chirality)]
 
-    def jet(self, points) -> tuple:
-        """(M, (dM_1, dM_2, dM_3)): `jet_components` as matrices, equal, bit
-        for bit, to `matrix` and `frame_derivative_matrix`."""
-        M, *dM = (stack_components(m, 2) for m in self.jet_components(points))
-        return M, tuple(dM)
-
     # -- linear structure (for curves A + t Adot) ------------------------
     def _from_upper(self, fields) -> "SymEnd3Field":
         """The field with the six given upper entries, mirrored; a
@@ -176,14 +170,6 @@ class VectorField3:
     def values(self, points) -> np.ndarray:
         pts = _as_array(points)
         return np.stack(_field_values(self.components, pts), axis=-1)
-
-    def jet(self, points) -> tuple:
-        """(x, (dx_1, dx_2, dx_3)): the (..., 3) component values and
-        their e_k-derivatives from one `frame_jet` call; x is
-        bit-identical to `values`."""
-        pts = _as_array(points)
-        x, d1, d2, d3 = (np.stack(vals, axis=-1) for vals in frame_jet(self.components, pts, self.chirality))
-        return x, (d1, d2, d3)
 
 
 # -- known solution families -------------------------------------------
@@ -394,20 +380,23 @@ def linearized_residual(A: SymEnd3Field, Adot: SymEnd3Field, points, x=None, y=N
     )
 
 
-def _symmetry_from_jet(M, x, dx, chirality: Chirality) -> np.ndarray:
-    """dX - *(X tr A - A X) from the matrix of A and the jet of X.
+def _trace(m):
+    """tr A for a 9-tuple, as np.trace sums it: from +0, in index order."""
+    return ((0.0 + m[0]) + m[4]) + m[8]
+
+
+def _symmetry(m, x, dx, chirality: Chirality) -> list:
+    """dX - *(X tr A - A X) from the 9-tuple m of A and the jet (x, dx) of X.
 
     Component c of dX (cyclic pair (a,b,c)) is
     e_a(x_b) - e_b(x_a) - lambda x_c, with lambda the structure constant
     of X's frame.
     """
-    lam = structure_constant(chirality)
-    dX = np.zeros_like(x)
+    lam, tr = structure_constant(chirality), _trace(m)
+    out = [None] * 3
     for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        dX[..., c] = dx[a][..., b] - dx[b][..., a] - lam * x[..., c]
-    tr = np.trace(M, axis1=-2, axis2=-1)
-    w = x * tr[..., None] - np.einsum("...ij,...j->...i", M, x)
-    return dX - w
+        out[c] = (dx[a][b] - dx[b][a] - lam * x[c]) - (x[c] * tr - dot_components(m[3 * c : 3 * c + 3], x))
+    return out
 
 
 def symmetry_residual(A: SymEnd3Field, X: VectorField3, points, B=None) -> np.ndarray:
@@ -418,15 +407,13 @@ def symmetry_residual(A: SymEnd3Field, X: VectorField3, points, B=None) -> np.nd
     Vanishes exactly when d^{nabla^A} X + B is a symmetric endomorphism.
     """
     pts = _as_array(points)
-    x, dx = X.jet(pts)
-    res = _symmetry_from_jet(A.matrix(pts), x, dx, X.chirality)
+    x, *dx = frame_jet(X.components, pts, X.chirality)
+    res = _symmetry(A.entry_values(pts), x, dx, X.chirality)
     if B is not None:
         Bm = B.matrix(pts) if hasattr(B, "matrix") else np.asarray(B, dtype=float)
-        for k in range(3):
-            ek = np.zeros(3)
-            ek[k] = 1.0
-            res = res + np.cross(ek, Bm[..., :, k])
-    return res
+        for k in range(3):  # + e_k x B(e_k)
+            res = [r + c for r, c in zip(res, cross_components(np.eye(3)[k], np.moveaxis(Bm[..., :, k], -1, 0)))]
+    return stack_components(res)
 
 
 def xi_operator(A: SymEnd3Field, X: VectorField3, points):
@@ -437,21 +424,17 @@ def xi_operator(A: SymEnd3Field, X: VectorField3, points):
     -sum_k e_k(w_k) (the frame is divergence-free).
     """
     pts = _as_array(points)
-    M, dAs = A.jet(pts)
-    vals, dxs = X.jet(pts)
-    first = _symmetry_from_jet(M, vals, dxs, X.chirality)
-    tr = np.trace(M, axis1=-2, axis2=-1)
-    div = np.zeros(pts.shape[:-1])
-    for k, (dx, dA) in enumerate(zip(dxs, dAs)):
+    m, *dm = A.jet_components(pts)
+    x, *dx = frame_jet(X.components, pts, X.chirality)
+    tr = _trace(m)
+    div = 0.0
+    for k in range(3):
         # W_k = x_k tr A - (A x)_k; e_k W_k by the product rule
-        dtr = np.trace(dA, axis1=-2, axis2=-1)
+        row, drow = m[3 * k : 3 * k + 3], dm[k][3 * k : 3 * k + 3]
         div = div + (
-            dx[..., k] * tr
-            + vals[..., k] * dtr
-            - np.einsum("...j,...j->...", dA[..., k, :], vals)
-            - np.einsum("...j,...j->...", M[..., k, :], dx)
+            ((dx[k][k] * tr + x[k] * _trace(dm[k])) - dot_components(drow, x)) - dot_components(row, dx[k])
         )
-    return first, -div
+    return stack_components(_symmetry(m, x, dx, X.chirality)), -div
 
 
 def definiteness_check(B):

@@ -23,7 +23,8 @@ from itertools import product
 import numpy as np
 
 from .cauchy import SymEnd3Field, VectorField3, _coerce_entry, _same_entry
-from .frame import Chirality, ScalarField, _as_array
+from .deformation import lie_derivative_endo
+from .frame import Chirality, ScalarField, random_points
 from .polynomial import Poly, evaluate
 from .tensor import cross_components
 
@@ -157,25 +158,20 @@ class HopfReducedData:
             raise ValueError("B[1][0] differs from B[0][1]: B must be symmetric")
 
 
-def hopf_reduce(A: SymEnd3Field, check_invariance: bool = True, seed: int = 321) -> HopfReducedData:
+def hopf_reduce(A: SymEnd3Field) -> HopfReducedData:
     """Split an e_1-invariant field into its Hopf-base data (f, v, B).
 
     Raises if the tensor Lie derivative L_{e_1} A visibly fails to
-    vanish on a seeded sample (the reduction is only meaningful for
+    vanish on 24 points of seed 321 (the reduction is only meaningful for
     e_1-invariant fields).  Note the left-frame *coefficients* of an
     invariant field need not be e_1-constant: the frame itself rotates
     under the flow, only f = <A e_1, e_1> is.
     """
     if A.chirality is not Chirality.LEFT:
         raise ValueError("hopf reduction is taken with respect to the left field e_1")
-    if check_invariance:
-        from .deformation import lie_derivative_endo
-        from .frame import random_points
-
-        pts = random_points(24, seed=seed)
-        worst = float(np.max(np.abs(lie_derivative_endo(A, VectorField3.frame_vector(1), pts))))
-        if worst > 1e-8:
-            raise ValueError(f"field is not e_1-invariant (max |L_e1 A| = {worst:.3e})")
+    worst = float(np.max(np.abs(lie_derivative_endo(A, VectorField3.frame_vector(1), random_points(24, seed=321)))))
+    if worst > 1e-8:
+        raise ValueError(f"field is not e_1-invariant (max |L_e1 A| = {worst:.3e})")
     f = A.entries[0][0]
     v = (A.entries[0][1], A.entries[0][2])
     B = ((A.entries[1][1], A.entries[1][2]), (A.entries[1][2], A.entries[2][2]))

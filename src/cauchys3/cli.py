@@ -88,6 +88,10 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# JSON's string escapes (control characters U+0000-U+001F, backslash, quote); human output uses them too
+_ESCAPES = {c: f"\\u{c:04x}" for c in range(32)} | {ord("\\"): "\\\\", ord('"'): '\\"'}
+
+
 def canonical_json(obj, indent: int = 0) -> str:
     """Fixed-layout JSON with 17-significant-digit floats."""
     pad = "  " * indent
@@ -112,7 +116,7 @@ def canonical_json(obj, indent: int = 0) -> str:
         return _fmt_float(float(obj))
     if obj is None:
         return "null"
-    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return '"' + str(obj).translate(_ESCAPES) + '"'
 
 
 def emit(report: dict, config: RunConfig, stream=None) -> None:
@@ -146,7 +150,7 @@ def _emit_human(report, stream, prefix=""):
         elif isinstance(v, list):
             stream.write(f"{prefix}{k}: [{len(v)} entries]\n")
         else:
-            stream.write(f"{prefix}{k}: {v}\n")
+            stream.write(f"{prefix}{k}: {str(v).translate(_ESCAPES)}\n")
 
 
 def _config_block(config: RunConfig) -> dict:
@@ -299,6 +303,8 @@ def _parse_range(text: str) -> tuple:
 def cmd_cylinder(args, config: RunConfig) -> int:
     probe = None
     try:
+        if (args.t is not None) + (args.s is not None) + args.to_singularity > 1:
+            raise ValueError("give at most one of --t, --s, --to-singularity")
         if args.s is not None:
             s_lo, s_hi = _parse_range(args.s)
             if s_lo >= s_hi:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cauchy import SymEnd3Field, VectorField3
 from .frame import Chirality, ScalarField, _as_array, frame_jet, harmonic_quadratic
-from .tensor import cov_components, stack_components, structure_constant
+from .tensor import cov_components, cross_components, dot_components, stack_components, structure_constant
 
 __all__ = [
     "A0",
@@ -132,25 +132,22 @@ def lie_derivative_endo(A: SymEnd3Field, Z: VectorField3, points) -> np.ndarray:
         raise ValueError("chirality mismatch")
     pts = _as_array(points)
     lam = structure_constant(A.chirality)
-    M, dA = A.jet(pts)
-    z, dz = Z.jet(pts)
-
-    # [Z, W] for coefficient fields: sum_k (z_k e_k(w_j) - w_k e_k(z_j)) e_j
-    #                                + lam * cross(z, w)
-    out = np.zeros_like(M)
+    m, *dm = A.jet_components(pts)
+    z, *dz = frame_jet(Z.components, pts, Z.chirality)
+    out = [None] * 9
     for col in range(3):
-        w = M[..., :, col]  # A(e_col) coefficients
-        dw = [dA[k][..., :, col] for k in range(3)]
-        br1 = sum(z[..., k, None] * dw[k] for k in range(3))
-        br1 = br1 - sum(w[..., k, None] * dz[k] for k in range(3))
-        br1 = br1 + lam * np.cross(z, w)
+        w = m[col::3]  # A(e_col) coefficients
+        # [Z, W] for coefficient fields: sum_k (z_k e_k(w_j) - w_k e_k(z_j)) e_j
+        #                                + lam * cross(z, w)
+        zw = cross_components(z, w)
         # A([Z, e_col]) with [Z, e_col] = -[e_col, Z]
         #   = -(sum_k e_col(z_j)) e_j - lam cross(e_col, z)
-        ecol = np.zeros(3)
-        ecol[col] = 1.0
-        bracket_ze = -dz[col] - lam * np.cross(ecol, z)
-        out[..., :, col] = br1 - np.einsum("...ij,...j->...i", M, bracket_ze)
-    return out
+        ez = cross_components([float(i == col) for i in range(3)], z)
+        bracket_ze = [-dz[col][j] - lam * ez[j] for j in range(3)]
+        for j in range(3):
+            br1 = sum(z[k] * dm[k][3 * j + col] for k in range(3)) - sum(w[k] * dz[k][j] for k in range(3))
+            out[3 * j + col] = (br1 + lam * zw[j]) - dot_components(m[3 * j : 3 * j + 3], bracket_ze)
+    return stack_components(out, 2)
 
 
 def nabla_A0_of_deformation(d: DeformVector, points) -> np.ndarray:

@@ -13,11 +13,14 @@ The star is the identity on storage; `hat`/`unhat` convert between the
 3-vector and the skew matrix when an endomorphism has to act.
 
 The covariant kernel is component-major: a matrix is a row-major 9-tuple
-of component arrays, a vector a 3-tuple.  Each Gamma_k has one +-1 in
-each row and column other than k, so its products are signed adds,
-with no matmul, einsum or stacking, and each sum runs in the order of
-the matrix form it replaced, whose bits it keeps.  `d_nabla_A` keeps
-that matrix form: it is the independent oracle of the flatness residual.
+of component arrays, a vector a 3-tuple, as `jet_components` and
+`frame_jet` give them.  Each Gamma_k has one +-1 in each row and column
+other than k, so its products are signed adds, with no matmul, einsum
+or stacking; `cross_components` and `dot_components` keep np.cross's and
+einsum's bits, and each sum runs in the order of the matrix form it
+replaced, whose bits it keeps.  Every round-S^3 operator in `cauchy`
+and `deformation` runs on this one format.  `d_nabla_A` keeps the
+matrix form: it is the independent oracle of the flatness residual.
 """
 
 from __future__ import annotations
@@ -46,10 +49,8 @@ __all__ = [
     "cov_components",
     "divergence_components",
     "cross_components",
+    "dot_components",
     "stack_components",
-    "cov_matrix",
-    "cov_vector",
-    "divergence_from_jet",
     "d_nabla_A",
     "divergence_A",
 ]
@@ -256,6 +257,12 @@ def cross_components(a, b) -> tuple:
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
+def dot_components(a, b):
+    """a . b for 3-tuples, as einsum sums over a last axis of 3: from +0,
+    in the order (0, 2, 1), so the same bits, signed zeros included."""
+    return ((0.0 + a[0] * b[0]) + a[2] * b[2]) + a[1] * b[1]
+
+
 def cov_entries(m, dm, k: int, chirality: Chirality = Chirality.LEFT, entries=range(9)) -> list:
     """Entries 3i + j of nabla_{e_k} A = dA_k + [Gamma_k, A] (round metric)
     from the 9-tuples m of A and dm of its e_k-derivative, added as the
@@ -298,34 +305,6 @@ def stack_components(components, k: int = 1) -> np.ndarray:
     for i, c in enumerate(components):
         out[..., i] = c
     return out.reshape(out.shape[:-1] + (3,) * k)
-
-
-# The array wrappers add 0.0 to the derivative, which turns -0 into +0 as
-# the matrix form's sums do: its bits for any finite input.
-def _entries(M) -> tuple:
-    M = np.asarray(M, dtype=float)
-    return tuple(M[..., i, j] for i in range(3) for j in range(3))
-
-
-def cov_matrix(M, dMk, k: int, chirality: Chirality = Chirality.LEFT) -> np.ndarray:
-    """nabla_{e_k} A as a frame matrix, dA_k + [Gamma_k, A], from the
-    matrix M of A and its entrywise e_k-derivative dMk (round metric)."""
-    return stack_components(cov_entries(_entries(M), _entries(np.add(dMk, 0.0)), k, chirality), 2)
-
-
-def cov_vector(w, dwk, k: int, chirality: Chirality = Chirality.LEFT, ak=None) -> np.ndarray:
-    """nabla_{e_k} W = dW_k + Gamma_k W for the round metric, from the frame
-    coefficients w of W and their e_k-derivatives dwk.  Given ak, the
-    coefficients of A(e_k), it is nabla^A_{e_k} W = nabla_{e_k} W + A(e_k) x W,
-    the modified connection nabla + *(A(.)).  Batched over leading axes."""
-    w, dw = np.broadcast_arrays(np.asarray(w, dtype=float), np.add(dwk, 0.0))
-    a = None if ak is None else np.moveaxis(np.asarray(ak, dtype=float), -1, 0)
-    return stack_components(cov_components(np.moveaxis(w, -1, 0), np.moveaxis(dw, -1, 0), k, chirality, a))
-
-
-def divergence_from_jet(M, dM, chirality: Chirality = Chirality.LEFT) -> np.ndarray:
-    """delta^nabla A = -sum_k (nabla_{e_k} A)(e_k) from the jet (M, (dM_1, dM_2, dM_3))."""
-    return stack_components(divergence_components(_entries(M), [_entries(np.add(d, 0.0)) for d in dM], chirality))
 
 
 def divergence_A(A, points) -> np.ndarray:

@@ -18,7 +18,7 @@ from cauchys3.cauchy import (
 )
 from cauchys3.deformation import A0, DeformVector, deformation_field
 from cauchys3.exprspec import parse_field_spec
-from cauchys3.frame import Chirality, ScalarField, harmonic_quadratic, random_points
+from cauchys3.frame import Chirality, ScalarField, frame_jet, harmonic_quadratic, random_points
 from cauchys3.tensor import hodge_star, levi_civita_round, wedge_endo
 
 E1, E2, E3 = np.eye(3)
@@ -420,6 +420,14 @@ def _per_entry(A, pts, k=None):
     return out
 
 
+def _assert_entries_equal(m, M):
+    """The row-major 9-tuple m holds the entries of the (..., 3, 3) array M."""
+    assert len(m) == 9
+    for i in range(3):
+        for j in range(3):
+            assert np.array_equal(m[3 * i + j], M[..., i, j])
+
+
 @pytest.mark.parametrize("name", ["rotated-left-133", "quartic", "readme-spec", "quartic-fd"])
 def test_jet_matches_per_entry_evaluation_bit_for_bit(name, pts500, rng):
     if name == "rotated-left-133":
@@ -432,13 +440,13 @@ def test_jet_matches_per_entry_evaluation_bit_for_bit(name, pts500, rng):
     else:
         A = _fd_wrapped(right_family_left_frame())
     for pts in (pts500[:120], pts500[7], pts500[:24].reshape(4, 6, 4)):
-        M, dM = A.jet(pts)
-        assert np.array_equal(M, _per_entry(A, pts))
-        assert np.array_equal(A.matrix(pts), M)
-        assert len(dM) == 3
+        m, *dm = A.jet_components(pts)
+        _assert_entries_equal(m, _per_entry(A, pts))
+        _assert_entries_equal(m, A.matrix(pts))
+        assert len(dm) == 3
         for k in (1, 2, 3):
-            assert np.array_equal(dM[k - 1], _per_entry(A, pts, k))
-            assert np.array_equal(A.frame_derivative_matrix(k, pts), dM[k - 1])
+            _assert_entries_equal(dm[k - 1], _per_entry(A, pts, k))
+            _assert_entries_equal(dm[k - 1], A.frame_derivative_matrix(k, pts))
 
 
 def test_fd_jet_shares_one_flow_pair_per_direction(pts500, monkeypatch):
@@ -453,7 +461,7 @@ def test_fd_jet_shares_one_flow_pair_per_direction(pts500, monkeypatch):
 
     monkeypatch.setattr(frame_module, "flow", counted)
     A = _fd_wrapped(right_family_left_frame())
-    A.jet(pts500[:40])
+    A.jet_components(pts500[:40])
     assert len(calls) == 6  # was 36: two flows for each of 6 entries x 3 directions
     assert sorted(calls) == sorted((k, s * 1e-5) for k in (1, 2, 3) for s in (1.0, -1.0))
     # a second step gets its own flows; exact entries need none
@@ -467,17 +475,17 @@ def test_fd_jet_shares_one_flow_pair_per_direction(pts500, monkeypatch):
         ]
     )
     pts = pts500[:40]
-    M, dM = mixed.jet(pts)
+    m, *dm = mixed.jet_components(pts)
     assert len(calls) == 12
-    assert np.array_equal(M, _per_entry(mixed, pts))
+    _assert_entries_equal(m, _per_entry(mixed, pts))
     for k in (1, 2, 3):
-        assert np.array_equal(dM[k - 1], _per_entry(mixed, pts, k))
+        _assert_entries_equal(dm[k - 1], _per_entry(mixed, pts, k))
 
 
 def test_jet_rejects_third_fd_derivative(pts500):
     f = ScalarField.from_callable(lambda p: p[..., 0]).frame_derivative(1).frame_derivative(2)
     with pytest.raises(ValueError):
-        SymEnd3Field([[f, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]).jet(pts500[:5])
+        SymEnd3Field([[f, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]).jet_components(pts500[:5])
 
 
 @pytest.mark.parametrize("mode", ["exact", "fd"])
@@ -487,7 +495,7 @@ def test_vector_jet_symmetry_and_xi_match_per_field_evaluation(mode, pts500):
         X = VectorField3([ScalarField.from_callable(c, fd_step=1e-5) for c in X.components])
     A = right_family_left_frame()
     pts = pts500[:50]
-    x, dx = X.jet(pts)
+    x, *dx = (np.stack(vals, axis=-1) for vals in frame_jet(X.components, pts, X.chirality))
     assert np.array_equal(x, X.values(pts))
     d = [np.stack([c.frame_derivative(k)(pts) for c in X.components], axis=-1) for k in (1, 2, 3)]
     for k in range(3):

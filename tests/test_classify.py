@@ -306,12 +306,10 @@ def _hopf_reference_case(name):
         return HopfReducedData(f=zero, v=(zero, zero), B=((zero, zero), (zero, zero)))
     if name == "quartic-fd":
         return hopf_reduce(_fd_wrapped(right_family_left_frame()))
-    if name == "noninvariant":  # every residual is nonzero somewhere
+    if name == "noninvariant":  # every residual is nonzero somewhere; hopf_reduce would refuse it
         a = [coordinate_field(m) for m in (1, 2, 3, 4)]
-        A = SymEnd3Field(
-            [[a[0], a[1] * 0.5, a[2]], [a[1] * 0.5, a[3], a[0] * 2.0], [a[2], a[0] * 2.0, 1.5]]
-        )
-        return hopf_reduce(A, check_invariance=False)
+        b23 = a[0] * 2.0
+        return HopfReducedData(f=a[0], v=(a[1] * 0.5, a[2]), B=((a[3], b23), (b23, ScalarField.constant(1.5))))
     return hopf_reduce(dict(_reductions_of_known_families())[name])
 
 

@@ -143,6 +143,35 @@ def test_cylinder_probe_needs_two_points(npoints, capsys):
     assert code == EXIT_PASS and len(json.loads(out)["probe_curvature_norm"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--t", "0..1", "--s", "0.6..0.9"],
+        ["--to-singularity", "--t", "0..1"],
+        ["--to-singularity", "--s", "0.6..0.9"],
+        ["--t", "0..1", "--s", "0.6..0.9", "--to-singularity"],
+        ["--s", "0.51..0.9", "--probe-curvature", "--t", "0..1"],
+        ["--s", "0.51..0.9", "--probe-curvature", "--to-singularity"],
+        ["--probe-curvature", "--to-singularity"],
+        ["--probe-curvature", "--t", "0..1"],
+    ],
+    ids=" ".join,
+)
+def test_cylinder_conflicting_modes_rejected(argv, capsys):
+    # at most one of --t, --s and --to-singularity; --probe-curvature needs --s
+    code, out = run_cli(["cylinder"] + argv)
+    assert code == EXIT_INPUT and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("cylinder: ") and err.count("\n") == 1
+
+
+def test_human_format_keeps_one_line_per_key():
+    code, out = run_cli(["--format", "human", "--samples", "20", "verify", "--expr", "diag(2,\n2,\t2)"])
+    assert code == EXIT_TOLERANCE
+    _assert_well_formed(out, "human")
+    assert "field: diag(2,\\u000a2,\\u00092)\n" in out
+
+
 def test_cylinder_bad_range(capsys):
     assert main(["cylinder", "--t", "1..2"]) == EXIT_INPUT
     assert main(["cylinder"]) == EXIT_INPUT
@@ -235,10 +264,16 @@ def _poly_entry(draw):
     return " + ".join(terms)
 
 
+_WHITESPACE = st.text(alphabet=" \t\n\r\x0b\x0c", max_size=3)
+
+
 @st.composite
 def _field_spec(draw):
+    # entries joined by any whitespace, control characters among it: the
+    # spec is echoed into the report's "field", which must stay strict JSON
     head, n = draw(st.sampled_from([("diag", 3), ("sym", 6)]))
-    return f"{head}({', '.join(draw(st.lists(_poly_entry(), min_size=n, max_size=n)))})"
+    entries = draw(st.lists(_poly_entry(), min_size=n, max_size=n))
+    return f"{head}({''.join(e + ',' + draw(_WHITESPACE) for e in entries[:-1])}{entries[-1]})"
 
 
 _HUMAN_LINE = re.compile(r"( {2})*[A-Za-z_]\w*:( .*)?")
@@ -276,6 +311,7 @@ def _run_argv_cleanly(argv):
 
 
 @given(spec=_field_spec())
+@example(spec="diag(2,\n2,\t2)")
 @settings(max_examples=20, deadline=None)
 def test_verify_generated_field_spec_ends_cleanly(spec):
     # any spec in the grammar parses and runs; only the identity-like ones pass

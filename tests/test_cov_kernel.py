@@ -6,11 +6,14 @@ those assemblies, and the loops that built the connection tables, are
 copied here as references and must agree with the kernel path bit for bit.
 
 The component-major kernel (`cov_entries`, `cov_components`,
-`divergence_components`) replaced the matrix-form `cov_matrix`
-(`dMk + G @ M - M @ G`), `cov_vector` (an einsum with Gamma_k + hat(ak))
-and `divergence_from_jet`, and the flatness and Gauss-Codazzi assemblies
-built on them.  Those bodies are copied here too; the kernel and its
-array wrappers must give their bytes, signed zeros included.
+`divergence_components`) replaced the matrix-form `dMk + G @ M - M @ G`,
+an einsum with Gamma_k + hat(ak) and the divergence built on them, and the
+flatness and Gauss-Codazzi assemblies; the symmetry condition, Xi and the
+Lie derivative followed, with `cross_components` and `dot_components` in
+place of np.cross and einsum.  Those matrix-form bodies are copied here
+too, fed from `matrix`, `frame_derivative_matrix`, `values` and
+per-component `frame_derivative`, an evaluation path apart from
+`frame_jet`; the kernel must give their bytes, signed zeros included.
 """
 
 import numpy as np
@@ -25,23 +28,25 @@ from cauchys3.cauchy import (
     modified_connection,
     right_family_left_frame,
 )
+from cauchys3.cauchy import _trace, symmetry_residual, xi_operator
 from cauchys3.deformation import (
+    A0,
     A0_MATRIX,
     DeformVector,
     deformation_basis,
     deformation_field,
+    lie_derivative_endo,
     nabla_A0_of_deformation,
 )
-from cauchys3.frame import Chirality, ScalarField, random_points
+from cauchys3.frame import Chirality, ScalarField, coordinate_field, random_points
 from cauchys3.tensor import (
     BergerParams,
     cov_components,
     cov_entries,
-    cov_matrix,
-    cov_vector,
+    cross_components,
     divergence_A,
     divergence_components,
-    divergence_from_jet,
+    dot_components,
     gamma_berger,
     gamma_berger_orthonormal,
     gamma_round,
@@ -79,9 +84,20 @@ def _ref_gamma_berger_orthonormal(p):
     return out
 
 
+def _matrix_jet(A, pts):
+    """(M, [dM_1, dM_2, dM_3]) from `matrix` and `frame_derivative_matrix`."""
+    return A.matrix(pts), [A.frame_derivative_matrix(k, pts) for k in (1, 2, 3)]
+
+
+def _vector_jet(X, pts):
+    """(x, [dx_1, dx_2, dx_3]) from `values` and each component's `frame_derivative`."""
+    d = [np.stack([c.frame_derivative(k, X.chirality)(pts) for c in X.components], axis=-1) for k in (1, 2, 3)]
+    return X.values(pts), d
+
+
 def _ref_linearized_residual(A, Adot, pts, x, y):
     M = A.matrix(pts)
-    N, dNs = Adot.jet(pts)
+    N, dNs = _matrix_jet(Adot, pts)
     lam = structure_constant(A.chirality)
 
     def deriv_of_image(k, vec):
@@ -180,14 +196,15 @@ def test_nabla_A0_matches_hand_assembly():
     ds = deformation_basis() + [DeformVector((0.3, -1.2, 2.0), c2=0.5, c3=-0.25)]
     for pts in _SHAPES:
         for d in ds:
-            assert np.array_equal(nabla_A0_of_deformation(d, pts), _ref_nabla_A0(*deformation_field(d).jet(pts)))
+            assert np.array_equal(nabla_A0_of_deformation(d, pts), _ref_nabla_A0(*_vector_jet(deformation_field(d), pts)))
     # the kernel on a finite-difference vector field
     X = deformation_field(ds[-1])
     Xfd = VectorField3([ScalarField.from_callable(c, fd_step=1e-5) for c in X.components])
     for pts in _SHAPES:
-        vals, dX = Xfd.jet(pts)
-        got = np.stack([cov_vector(vals, dX[i], i + 1, ak=A0_MATRIX[:, i]) for i in range(3)], axis=-1)
-        assert np.array_equal(got, _ref_nabla_A0(vals, dX))
+        vals, dX = _vector_jet(Xfd, pts)
+        w = np.moveaxis(vals, -1, 0)
+        got = [cov_components(w, np.moveaxis(dX[i], -1, 0), i + 1, Chirality.LEFT, A0_MATRIX[:, i]) for i in range(3)]
+        assert np.array_equal(np.stack([np.stack(c, axis=-1) for c in got], axis=-1), _ref_nabla_A0(vals, dX))
 
 
 # -- the matrix-form kernel and its consumers, as they were ------------------
@@ -278,10 +295,7 @@ def test_cov_matrix_kernel_bytes(chirality, shape):
     general = _with_zeros(rng, rng.normal(size=shape + (3, 3)))
     for k in (1, 2, 3):
         for A in (M, general):
-            dM = _with_zeros(rng, rng.normal(size=shape + (3, 3)))
-            # the array wrapper on any finite input, -0 in the derivative too
-            assert _same_bytes(cov_matrix(A, dM, k, chirality), _ref_cov_matrix(A, dM, k, chirality))
-            # the kernel itself, on derivatives that hold no -0, as jets do
+            # the kernel on derivatives that hold no -0, as jets do
             dM = _with_zeros(rng, rng.normal(size=shape + (3, 3)), signed=False)
             m = [A[..., i, j] for i in range(3) for j in range(3)]
             dm = [dM[..., i, j] for i in range(3) for j in range(3)]
@@ -299,8 +313,6 @@ def test_cov_vector_kernel_bytes(chirality, shape):
             w = _with_zeros(rng, rng.normal(size=shape + (3,)))
             ak = _with_zeros(rng, rng.normal(size=shape + (3,)))
             for a in (None, ak):
-                dw = _with_zeros(rng, rng.normal(size=shape + (3,)))
-                assert _same_bytes(cov_vector(w, dw, k, chirality, a), _ref_cov_vector(w, dw, k, chirality, a))
                 dw = _with_zeros(rng, rng.normal(size=shape + (3,)), signed=False)
                 comps = [np.moveaxis(v, -1, 0) for v in (w, dw)]
                 got = cov_components(*comps, k, chirality, None if a is None else np.moveaxis(a, -1, 0))
@@ -313,8 +325,6 @@ def test_cov_vector_kernel_bytes(chirality, shape):
 def test_divergence_kernel_bytes(chirality, shape):
     rng = _rng(2, chirality, shape)
     M = _symmetric(rng, shape)
-    dM = [_symmetric(rng, shape) for _ in range(3)]
-    assert _same_bytes(divergence_from_jet(M, dM, chirality), _ref_divergence_from_jet(M, dM, chirality))
     dM = [_symmetric(rng, shape, signed=False) for _ in range(3)]
     m = [M[..., i, j] for i in range(3) for j in range(3)]
     dm = [[d[..., i, j] for i in range(3) for j in range(3)] for d in dM]
@@ -336,7 +346,7 @@ def test_consumers_match_matrix_form_bytes(name):
     directions = [tuple(np.eye(3)[i - 1] for i in p) for p in FRAME_PAIRS]
     directions.append((np.array([0.3, -1.1, 0.7]), np.array([1.2, 0.0, -0.4])))
     for pts in _SHAPES:
-        M, dM = A.jet(pts)
+        M, dM = _matrix_jet(A, pts)
         for x, y in directions:
             assert _same_bytes(flatness_residual(A, pts, x, y), _ref_flatness_from_jet(M, dM, A.chirality, x, y))
         norms = [_ref_residual_norm(_ref_flatness_from_jet(M, dM, A.chirality, *d)) for d in directions[:3]]
@@ -347,3 +357,115 @@ def test_consumers_match_matrix_form_bytes(name):
         for got, ref in zip(gauss_codazzi_residual(A, pts), _ref_gauss_codazzi(M, dM, A.chirality), strict=True):
             assert _same_bytes(got, ref)
         assert _same_bytes(divergence_A(A, pts), _ref_divergence_from_jet(M, dM, A.chirality))
+
+
+@pytest.mark.parametrize("shape", _KERNEL_SHAPES)
+def test_dot_cross_and_trace_kernel_bytes(shape):
+    # einsum sums a last axis of 3 from +0 in the order (0, 2, 1), np.trace
+    # from +0 in index order: a signed zero tells the orders apart
+    rng = np.random.default_rng([3, *shape])
+    for _ in range(20):
+        M = _with_zeros(rng, rng.normal(size=shape + (3, 3)) * 10.0 ** rng.integers(-8, 9, size=shape + (3, 3)))
+        x = _with_zeros(rng, rng.normal(size=shape + (3,)) * 10.0 ** rng.integers(-8, 9, size=shape + (3,)))
+        m, xs = [M[..., i, j] for i in range(3) for j in range(3)], [x[..., i] for i in range(3)]
+        matvec = np.einsum("...ij,...j->...i", M, x)
+        for i in range(3):
+            assert _same_bytes(dot_components(m[3 * i : 3 * i + 3], xs), matvec[..., i])
+            assert _same_bytes(dot_components(m[3 * i : 3 * i + 3], xs), np.einsum("...j,...j->...", M[..., i, :], x))
+        assert _same_bytes(_trace(m), np.trace(M, axis1=-2, axis2=-1))
+        crossed = np.cross(M[..., 0, :], x)
+        assert all(_same_bytes(c, crossed[..., i]) for i, c in enumerate(cross_components(m[:3], xs)))
+
+
+# -- the symmetry condition, Xi and the Lie derivative, as they were ----------
+
+
+def _ref_symmetry_from_jet(M, x, dx, chirality):
+    lam = structure_constant(chirality)
+    dX = np.zeros_like(x)
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        dX[..., c] = dx[a][..., b] - dx[b][..., a] - lam * x[..., c]
+    tr = np.trace(M, axis1=-2, axis2=-1)
+    w = x * tr[..., None] - np.einsum("...ij,...j->...i", M, x)
+    return dX - w
+
+
+def _ref_symmetry_residual(A, X, pts, B=None):
+    x, dx = _vector_jet(X, pts)
+    res = _ref_symmetry_from_jet(A.matrix(pts), x, dx, X.chirality)
+    if B is not None:
+        Bm = B.matrix(pts) if hasattr(B, "matrix") else np.asarray(B, dtype=float)
+        for k in range(3):
+            ek = np.zeros(3)
+            ek[k] = 1.0
+            res = res + np.cross(ek, Bm[..., :, k])
+    return res
+
+
+def _ref_xi_operator(A, X, pts):
+    M, dAs = _matrix_jet(A, pts)
+    vals, dxs = _vector_jet(X, pts)
+    first = _ref_symmetry_from_jet(M, vals, dxs, X.chirality)
+    tr = np.trace(M, axis1=-2, axis2=-1)
+    div = np.zeros(pts.shape[:-1])
+    for k, (dx, dA) in enumerate(zip(dxs, dAs)):
+        dtr = np.trace(dA, axis1=-2, axis2=-1)
+        div = div + (
+            dx[..., k] * tr
+            + vals[..., k] * dtr
+            - np.einsum("...j,...j->...", dA[..., k, :], vals)
+            - np.einsum("...j,...j->...", M[..., k, :], dx)
+        )
+    return first, -div
+
+
+def _ref_lie_derivative_endo(A, Z, pts):
+    lam = structure_constant(A.chirality)
+    M, dA = _matrix_jet(A, pts)
+    z, dz = _vector_jet(Z, pts)
+    out = np.zeros_like(M)
+    for col in range(3):
+        w = M[..., :, col]
+        dw = [dA[k][..., :, col] for k in range(3)]
+        br1 = sum(z[..., k, None] * dw[k] for k in range(3))
+        br1 = br1 - sum(w[..., k, None] * dz[k] for k in range(3))
+        br1 = br1 + lam * np.cross(z, w)
+        ecol = np.zeros(3)
+        ecol[col] = 1.0
+        bracket_ze = -dz[col] - lam * np.cross(ecol, z)
+        out[..., :, col] = br1 - np.einsum("...ij,...j->...i", M, bracket_ze)
+    return out
+
+
+def _vector_fields():
+    a = [coordinate_field(m) for m in (1, 2, 3, 4)]
+    X = deformation_field(DeformVector((0.3, -1.2, 0.7), c2=0.5, c3=-2.0))
+    fields = {f"e{k}": VectorField3.frame_vector(k) for k in (1, 2, 3)}
+    fields.update(
+        deformation=X,
+        zero=VectorField3([0.0, 0.0, 0.0]),
+        coordinates=VectorField3([a[0], a[1] * -2.0, a[3]]),
+        right_e1=VectorField3.frame_vector(1, Chirality.RIGHT),
+        right_coordinates=VectorField3([a[2], a[1], 0.0], Chirality.RIGHT),
+    )
+    for name in ("deformation", "right_coordinates"):
+        V = fields[name]
+        fields[name + "_fd"] = VectorField3([ScalarField.from_callable(c, fd_step=1e-5) for c in V.components], V.chirality)
+    return fields
+
+
+_SYMMETRY_SHAPES = (_PTS, _PTS[3], _PTS[:24].reshape(4, 6, 4))
+
+
+@pytest.mark.parametrize("name", ["left-133", "plus-id", "right-133", "A0", "quartic", "quartic-fd"])
+def test_symmetry_xi_and_lie_derivative_match_matrix_form_bytes(name):
+    A = A0 if name == "A0" else _kernel_fields()[name]
+    for X in _vector_fields().values():
+        for pts in _SYMMETRY_SHAPES:
+            assert _same_bytes(symmetry_residual(A, X, pts), _ref_symmetry_residual(A, X, pts))
+            for B in (A, np.arange(9.0).reshape(3, 3) - 4.0):
+                assert _same_bytes(symmetry_residual(A, X, pts, B=B), _ref_symmetry_residual(A, X, pts, B=B))
+            for got, ref in zip(xi_operator(A, X, pts), _ref_xi_operator(A, X, pts), strict=True):
+                assert _same_bytes(got, ref)
+            if X.chirality is A.chirality:
+                assert _same_bytes(lie_derivative_endo(A, X, pts), _ref_lie_derivative_endo(A, X, pts))
