@@ -8,19 +8,34 @@ Subcommands
     cylinder  trajectory export with residual/Ricci summaries
     rigidity  S^2 rigidity residuals and the Codazzi equivalence check
 
-All floats in JSON output are printed with 17 significant digits and
-the document layout is fixed, so identical configurations (including
-the seed) produce byte-identical output.  Exit codes: 0 pass,
-1 tolerance failure, 2 input error, 3 singularity reached when not
-requested.
+Every run prints one report: a header (`schema`, `command` and the shared
+options as `config`) and the subcommand's body.  A leaf has one text in
+every format: a float with 17 significant digits, a non-finite one as NaN,
+Infinity or -Infinity, a bool or null as JSON writes it, a string with
+U+0000-U+001F, backslash and quote escaped.
+
+    json   the document in a fixed layout, a string or a non-finite
+           float quoted, so that it stays strict JSON
+    human  one `dotted.key: value` line per leaf (`config.seed: 0`,
+           `frame_pairs.0.1: 2`)
+    csv    one `key,value` row per leaf; a report with `rows` prints that
+           table alone, its other fields being in the JSON and human
+           outputs and `pass` in the exit code
+
+Identical configurations (including the seed) produce byte-identical
+output.  Exit codes: 0 pass, 1 tolerance failure, 3 singularity reached
+when not requested, 2 input error: a bad value, an option the run would
+not read (`--probe-points` without `--probe-curvature`), or a stdout
+closed before the report is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,7 +50,7 @@ from .cauchy import (
     gauss_codazzi_residual,
     known_example,
 )
-from .exprspec import ParseError, parse_field_spec
+from .exprspec import parse_field_spec
 from .frame import Chirality, harmonic_quadratic, random_points
 from .polynomial import Poly
 
@@ -55,7 +70,6 @@ class RunConfig:
     samples: int = 1000
     tolerance: float = 1e-10
     fd_step: float = 1e-5
-    output_format: str = "json"
 
     def validate(self):
         if self.seed < 0:
@@ -80,20 +94,28 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _fmt_float(x: float) -> str:
-    """17 significant digits; a non-finite value becomes the JSON string
-    "NaN", "Infinity" or "-Infinity", so the document stays strict JSON."""
-    if not math.isfinite(x):
-        return '"NaN"' if x != x else ('"Infinity"' if x > 0 else '"-Infinity"')
-    return format(float(x), ".17g")
-
-
-# JSON's string escapes (control characters U+0000-U+001F, backslash, quote); human output uses them too
+# JSON's string escapes (control characters U+0000-U+001F, backslash, quote), in every format
 _ESCAPES = {c: f"\\u{c:04x}" for c in range(32)} | {ord("\\"): "\\\\", ord('"'): '\\"'}
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _text(leaf) -> str:
+    """A leaf's text in every format: JSON's for a number, a bool or null,
+    a float with 17 significant digits and a non-finite one as NaN,
+    Infinity or -Infinity; a string escaped through _ESCAPES, unquoted."""
+    if isinstance(leaf, (bool, np.bool_)):
+        return "true" if leaf else "false"
+    if isinstance(leaf, (int, np.integer)):
+        return str(int(leaf))
+    if isinstance(leaf, (float, np.floating)):
+        text = format(float(leaf), ".17g")
+        return _NON_FINITE.get(text, text)
+    return "null" if leaf is None else str(leaf).translate(_ESCAPES)
 
 
 def canonical_json(obj, indent: int = 0) -> str:
-    """Fixed-layout JSON with 17-significant-digit floats."""
+    """Fixed-layout JSON with 17-significant-digit floats.  A string, and a
+    non-finite float, is a JSON string, so the document stays strict JSON."""
     pad = "  " * indent
     pad_in = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -108,58 +130,37 @@ def canonical_json(obj, indent: int = 0) -> str:
             return "[]"
         items = [f"{pad_in}{canonical_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if obj is None:
-        return "null"
-    return '"' + str(obj).translate(_ESCAPES) + '"'
+    text = _text(obj)
+    return f'"{text}"' if isinstance(obj, str) or text in _NON_FINITE.values() else text
 
 
-def emit(report: dict, config: RunConfig, stream=None) -> None:
-    stream = stream or sys.stdout
-    if config.output_format == "json":
-        stream.write(canonical_json(report) + "\n")
-    elif config.output_format == "csv":
+def _flatten(node, key=""):
+    """(dotted key, leaf) for every leaf of a report, in document order."""
+    if isinstance(node, (dict, list, tuple)):
+        for k, v in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _flatten(v, f"{key}.{k}" if key else str(k))
+    else:
+        yield key, node
+
+
+def emit(report: dict, output_format: str) -> None:
+    """Write a report to stdout as JSON, `key: value` lines or CSV."""
+    if output_format == "json":
+        sys.stdout.write(canonical_json(report) + "\n")
+    elif output_format == "human":
+        sys.stdout.writelines(f"{key}: {_text(leaf)}\n" for key, leaf in _flatten(report))
+    else:
         import csv  # here, so that a JSON run does not import it
 
-        # csv quotes a field that holds a comma or a quote, so a non-finite
-        # float goes in bare: a reader gets "NaN" back either way
-        out, rows = csv.writer(stream, lineterminator="\n"), report.get("rows")
+        # csv quotes a cell that holds a comma or a quote; a report with rows
+        # prints that table alone, any other report one row per leaf
+        out, rows = csv.writer(sys.stdout, lineterminator="\n"), report.get("rows")
         if rows:
             out.writerow(rows[0])
-            for r in rows:
-                vals = (r[c] for c in rows[0])
-                out.writerow(_fmt_float(v).strip('"') if isinstance(v, (float, np.floating)) else str(v) for v in vals)
+            out.writerows([_text(r[c]) for c in rows[0]] for r in rows)
         else:
             out.writerow(["key", "value"])
-            scalars = (int, float, str, bool, np.floating, np.integer)
-            out.writerows((k, str(v)) for k, v in report.items() if isinstance(v, scalars))
-    else:  # human
-        _emit_human(report, stream)
-
-
-def _emit_human(report, stream, prefix=""):
-    for k, v in report.items():
-        if isinstance(v, dict):
-            stream.write(f"{prefix}{k}:\n")
-            _emit_human(v, stream, prefix + "  ")
-        elif isinstance(v, list):
-            stream.write(f"{prefix}{k}: [{len(v)} entries]\n")
-        else:
-            stream.write(f"{prefix}{k}: {str(v).translate(_ESCAPES)}\n")
-
-
-def _config_block(config: RunConfig) -> dict:
-    return {
-        "seed": config.seed,
-        "samples": config.samples,
-        "tolerance": config.tolerance,
-        "fd_step": config.fd_step,
-    }
+            out.writerows((key, _text(leaf)) for key, leaf in _flatten(report))
 
 
 # ---------------------------------------------------------------------------
@@ -169,44 +170,28 @@ def _config_block(config: RunConfig) -> dict:
 
 # a finite field spec whose values or residuals overflow ends in FloatingPointError, not in warnings
 @np.errstate(over="raise")
-def cmd_verify(args, config: RunConfig) -> int:
+def cmd_verify(args, config: RunConfig) -> tuple:
     if (args.builtin is None) == (args.expr is None):
-        print("verify: give exactly one of --builtin / --expr", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        field = (
-            known_example(args.builtin) if args.builtin else parse_field_spec(args.expr)
-        )
-    except (ParseError, ValueError) as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("give exactly one of --builtin / --expr")
+    field = known_example(args.builtin) if args.builtin else parse_field_spec(args.expr)
     pts = random_points(config.samples, seed=config.seed)
-    try:
-        norms = flatness_residual_norms(field, pts)
-        gc_scalar, gc_vec = gauss_codazzi_residual(field, pts)
-        rms = float(np.sqrt(np.mean(norms**2)))
-    except FloatingPointError as exc:
-        print(f"verify: field too large for floating point: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    norms = flatness_residual_norms(field, pts)
+    gc_scalar, gc_vec = gauss_codazzi_residual(field, pts)
     max_res = float(np.max(norms))
     passed = max_res < config.tolerance
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "verify",
-        "config": _config_block(config),
+    body = {
         "field": args.builtin or args.expr,
         "frame_pairs": [list(p) for p in FRAME_PAIRS],
         "flatness_max": max_res,
-        "flatness_rms": rms,
+        "flatness_rms": float(np.sqrt(np.mean(norms**2))),
         "gauss_codazzi_scalar_max": float(np.max(np.abs(gc_scalar))),
         "gauss_codazzi_vector_max": float(np.max(np.abs(gc_vec))),
         "pass": bool(passed),
     }
-    emit(report, config)
-    return EXIT_PASS if passed else EXIT_TOLERANCE
+    return body, EXIT_PASS if passed else EXIT_TOLERANCE
 
 
-def cmd_classify(args, config: RunConfig) -> int:
+def cmd_classify(args, config: RunConfig) -> tuple:
     sols = sorted(cls.constant_frame_solutions())
     pts = random_points(min(config.samples, 200), seed=config.seed)
     rows = []
@@ -233,25 +218,17 @@ def cmd_classify(args, config: RunConfig) -> int:
                 "flatness_max": res,
             }
         )
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "classify",
-        "config": _config_block(config),
-        "count": len(rows),
-        "rows": rows,
-        "pass": bool(ok),
-    }
+    body = {"count": len(rows), "rows": rows, "pass": bool(ok)}
     if args.grid_oracle:
         brute = sorted(cls.constant_frame_solutions_bruteforce())
-        report["grid_oracle_matches"] = bool(set(brute) == set(sols))
-        report["grid_oracle_count"] = len(brute)
-        ok = ok and report["grid_oracle_matches"]
-        report["pass"] = bool(ok)
-    emit(report, config)
-    return EXIT_PASS if ok else EXIT_TOLERANCE
+        body["grid_oracle_matches"] = bool(set(brute) == set(sols))
+        body["grid_oracle_count"] = len(brute)
+        ok = ok and body["grid_oracle_matches"]
+        body["pass"] = bool(ok)
+    return body, EXIT_PASS if ok else EXIT_TOLERANCE
 
 
-def cmd_deform(args, config: RunConfig) -> int:
+def cmd_deform(args, config: RunConfig) -> tuple:
     n = min(config.samples, 200)
     pts = random_points(n, seed=config.seed)
     rep = dfm.deformation_report(pts)
@@ -270,10 +247,7 @@ def cmd_deform(args, config: RunConfig) -> int:
         and eig_err < config.tolerance
         and lemma_err < config.tolerance
     )
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "deform",
-        "config": _config_block(config),
+    body = {
         "solution_space_dim": rep["solution_space_dim"],
         "image_span_dim": rep["image_span_dim"],
         "span_membership_error": rep["span_membership_error"],
@@ -284,8 +258,7 @@ def cmd_deform(args, config: RunConfig) -> int:
         "lie_e3_A0": [[float(v) for v in row] for row in dfm.LIE_E3_A0],
         "pass": bool(ok),
     }
-    emit(report, config)
-    return EXIT_PASS if ok else EXIT_TOLERANCE
+    return body, EXIT_PASS if ok else EXIT_TOLERANCE
 
 
 def _parse_range(text: str) -> tuple:
@@ -300,85 +273,66 @@ def _parse_range(text: str) -> tuple:
 
 # an overflow anywhere in the probe or the export ends in FloatingPointError, not in warnings
 @np.errstate(over="raise")
-def cmd_cylinder(args, config: RunConfig) -> int:
-    probe = None
-    try:
-        if (args.t is not None) + (args.s is not None) + args.to_singularity > 1:
-            raise ValueError("give at most one of --t, --s, --to-singularity")
-        if args.s is not None:
-            s_lo, s_hi = _parse_range(args.s)
-            if s_lo >= s_hi:
-                raise ValueError(f"s ranges need LO < HI, got {args.s!r}")
-        if args.probe_curvature:
-            if args.s is None:
-                raise ValueError("--probe-curvature requires --s LO..HI")
-            if args.probe_points < 2:
-                raise ValueError("--probe-points must be at least 2")
-            svals = np.linspace(s_hi, s_lo, args.probe_points)  # decreasing toward 1/2
-            probe = cyl.curvature_blowup_probe(svals)
-            profile = None
-        elif args.to_singularity:
-            profile = cyl.integrate(t_end=-10.0)
-        elif args.t is not None:
-            lo, hi = _parse_range(args.t)
-            if lo != 0.0:
-                raise ValueError("t ranges start at 0 (initial data lives there)")
-            profile = cyl.integrate(t_end=hi)
-        elif args.s is not None:
-            profile = cyl.integrate(s_end=s_hi if s_hi > 1 else s_lo)
-        else:
-            raise ValueError("give one of --t, --s, --to-singularity, --probe-curvature")
-        rows = None if profile is None else cyl.trajectory_rows(profile)
-    except ValueError as exc:
-        print(f"cylinder: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OverflowError, FloatingPointError) as exc:
-        print(f"cylinder: range too large for floating point: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "cylinder",
-        "config": _config_block(config),
-    }
-    code = EXIT_PASS
-    if probe is not None:
+def cmd_cylinder(args, config: RunConfig) -> tuple:
+    if (args.t is not None) + (args.s is not None) + args.to_singularity > 1:
+        raise ValueError("give at most one of --t, --s, --to-singularity")
+    if args.probe_points is not None and not args.probe_curvature:
+        raise ValueError("--probe-points requires --probe-curvature")
+    if args.s is not None:
+        s_lo, s_hi = _parse_range(args.s)
+        if s_lo >= s_hi:
+            raise ValueError(f"s ranges need LO < HI, got {args.s!r}")
+    if args.probe_curvature:
+        if args.s is None:
+            raise ValueError("--probe-curvature requires --s LO..HI")
+        points = 8 if args.probe_points is None else args.probe_points
+        if points < 2:
+            raise ValueError("--probe-points must be at least 2")
+        svals = np.linspace(s_hi, s_lo, points)  # decreasing toward 1/2
+        probe = cyl.curvature_blowup_probe(svals)
         increasing = bool(np.all(np.diff(probe) > 0))
-        report["probe_s"] = [float(v) for v in svals]
-        report["probe_curvature_norm"] = [float(v) for v in probe]
-        report["strictly_increasing"] = increasing
-        report["pass"] = increasing
-        code = EXIT_PASS if increasing else EXIT_TOLERANCE
-    else:
-        drift = max(abs(r["conserved"] - 2.0) for r in rows)
-        slice_rel = max(r["slice_residual_rel"] for r in rows)
-        ricci_rel = max(r["ricci_norm_rel"] for r in rows)
-        report["summary"] = {
-            "nodes": len(rows),
-            "boundary_distance_exact": cyl.boundary_distance_exact(),
-            "boundary_distance_reached": abs(rows[0]["t"]) if profile.singularity else None,
-            "max_conserved_drift": drift,
-            "max_prestep_drift": profile.max_drift,
-            "max_slice_residual": max(r["slice_residual_max"] for r in rows),
-            "max_ricci_norm": max(r["ricci_norm"] for r in rows),
-            "max_slice_residual_rel": slice_rel,
-            "max_ricci_norm_rel": ricci_rel,
-            "singularity": bool(profile.singularity),
+        body = {
+            "probe_s": [float(v) for v in svals],
+            "probe_curvature_norm": [float(v) for v in probe],
+            "strictly_increasing": increasing,
+            "pass": increasing,
         }
-        report["rows"] = rows
-        # curvature-scale-relative gates stay meaningful near the boundary
-        ok = drift < 1e-9 and slice_rel < 1e-9 and ricci_rel < 1e-8
-        if profile.singularity and not args.to_singularity:
-            code = EXIT_SINGULARITY
-            report["pass"] = False
-        else:
-            report["pass"] = bool(ok)
-            code = EXIT_PASS if ok else EXIT_TOLERANCE
-    emit(report, config)
-    return code
+        return body, EXIT_PASS if increasing else EXIT_TOLERANCE
+    if args.to_singularity:
+        profile = cyl.integrate(t_end=-10.0)
+    elif args.t is not None:
+        lo, hi = _parse_range(args.t)
+        if lo != 0.0:
+            raise ValueError("t ranges start at 0 (initial data lives there)")
+        profile = cyl.integrate(t_end=hi)
+    elif args.s is not None:
+        profile = cyl.integrate(s_end=s_hi if s_hi > 1 else s_lo)
+    else:
+        raise ValueError("give one of --t, --s, --to-singularity, --probe-curvature")
+    rows = cyl.trajectory_rows(profile)
+    drift = max(abs(r["conserved"] - 2.0) for r in rows)
+    slice_rel = max(r["slice_residual_rel"] for r in rows)
+    ricci_rel = max(r["ricci_norm_rel"] for r in rows)
+    summary = {
+        "nodes": len(rows),
+        "boundary_distance_exact": cyl.boundary_distance_exact(),
+        "boundary_distance_reached": abs(rows[0]["t"]) if profile.singularity else None,
+        "max_conserved_drift": drift,
+        "max_prestep_drift": profile.max_drift,
+        "max_slice_residual": max(r["slice_residual_max"] for r in rows),
+        "max_ricci_norm": max(r["ricci_norm"] for r in rows),
+        "max_slice_residual_rel": slice_rel,
+        "max_ricci_norm_rel": ricci_rel,
+        "singularity": bool(profile.singularity),
+    }
+    if profile.singularity and not args.to_singularity:
+        return {"summary": summary, "rows": rows, "pass": False}, EXIT_SINGULARITY
+    # curvature-scale-relative gates stay meaningful near the boundary
+    ok = drift < 1e-9 and slice_rel < 1e-9 and ricci_rel < 1e-8
+    return {"summary": summary, "rows": rows, "pass": bool(ok)}, EXIT_PASS if ok else EXIT_TOLERANCE
 
 
-def cmd_rigidity(args, config: RunConfig) -> int:
+def cmd_rigidity(args, config: RunConfig) -> tuple:
     n = min(config.samples, 100)
     pts = cls.random_s2_points(n, seed=config.seed)
     rng = np.random.default_rng(config.seed + 1)
@@ -422,10 +376,7 @@ def cmd_rigidity(args, config: RunConfig) -> int:
         and 5.0 < ratio_det < 20.0
         and 5.0 < ratio_div < 20.0
     )
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "rigidity",
-        "config": _config_block(config),
+    body = {
         "identity_rows": rows,
         "perturbation_rows": scaling,
         "scaling_ratio_det": ratio_det,
@@ -433,8 +384,7 @@ def cmd_rigidity(args, config: RunConfig) -> int:
         "codazzi_equivalence_max": equiv_max,
         "pass": bool(ok),
     }
-    emit(report, config)
-    return EXIT_PASS if ok else EXIT_TOLERANCE
+    return body, EXIT_PASS if ok else EXIT_TOLERANCE
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     cy.add_argument("--s", type=str, help="s range LO..HI")
     cy.add_argument("--to-singularity", action="store_true")
     cy.add_argument("--probe-curvature", action="store_true")
-    cy.add_argument("--probe-points", type=int, default=8)
+    cy.add_argument("--probe-points", type=int, help="probe size, with --probe-curvature (default 8)")
 
     sub.add_parser("rigidity", help="S^2 rigidity residuals and Codazzi equivalence")
     return ap
@@ -477,18 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = RunConfig(
-        seed=args.seed,
-        samples=args.samples,
-        tolerance=args.tol,
-        fd_step=args.fd_step,
-        output_format=args.output_format,
-    )
-    try:
-        config.validate()
-    except ValueError as exc:
-        print(f"cauchys3: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    config = RunConfig(seed=args.seed, samples=args.samples, tolerance=args.tol, fd_step=args.fd_step)
     handler = {
         "verify": cmd_verify,
         "classify": cmd_classify,
@@ -496,7 +435,28 @@ def main(argv=None) -> int:
         "cylinder": cmd_cylinder,
         "rigidity": cmd_rigidity,
     }[args.command]
-    return handler(args, config)
+    who = "cauchys3"  # a shared option's error names the program, any later one the subcommand
+    try:
+        config.validate()
+        who = args.command
+        body, code = handler(args, config)
+    except ValueError as exc:  # ParseError is one
+        print(f"{who}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except (OverflowError, FloatingPointError) as exc:
+        what = {"verify": "field", "cylinder": "range"}.get(who, "input")
+        print(f"{who}: {what} too large for floating point: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    report = {"schema": SCHEMA_VERSION, "command": args.command, "config": asdict(config), **body}
+    try:
+        emit(report, args.output_format)
+        sys.stdout.flush()  # so that a reader that went away is seen here, not at exit
+    except BrokenPipeError:
+        # point stdout at devnull, so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"{who}: stdout was closed before the report was written", file=sys.stderr)
+        return EXIT_INPUT
+    return code
 
 
 if __name__ == "__main__":

@@ -154,11 +154,13 @@ def test_cylinder_probe_needs_two_points(npoints, capsys):
         ["--s", "0.51..0.9", "--probe-curvature", "--to-singularity"],
         ["--probe-curvature", "--to-singularity"],
         ["--probe-curvature", "--t", "0..1"],
+        ["--t", "0..1", "--probe-points", "5"],
     ],
     ids=" ".join,
 )
 def test_cylinder_conflicting_modes_rejected(argv, capsys):
-    # at most one of --t, --s and --to-singularity; --probe-curvature needs --s
+    # at most one of --t, --s and --to-singularity; --probe-curvature needs
+    # --s, and --probe-points needs --probe-curvature
     code, out = run_cli(["cylinder"] + argv)
     assert code == EXIT_INPUT and out == ""
     err = capsys.readouterr().err
@@ -276,20 +278,53 @@ def _field_spec(draw):
     return f"{head}({''.join(e + ',' + draw(_WHITESPACE) for e in entries[:-1])}{entries[-1]})"
 
 
-_HUMAN_LINE = re.compile(r"( {2})*[A-Za-z_]\w*:( .*)?")
+_KEY = r"[A-Za-z_]\w*(\.\w+)*"
 
 
 def _assert_well_formed(out: str, output_format: str):
-    """Strict JSON of schema 1, a CSV table, or `key: value` lines."""
+    """Strict JSON of schema 1, a CSV table, or `dotted.key: value` lines."""
     if output_format == "json":
         assert json.loads(out, parse_constant=_reject_constant)["schema"] == 1
     elif output_format == "csv":
         header, *rows = csv.reader(io.StringIO(out))
         assert rows and all(len(r) == len(header) for r in rows)
-        if header == ["key", "value"]:  # a report without rows: its scalars
-            assert ["schema", "1"] in rows and all(re.fullmatch(r"[a-z_0-9]+", r[0]) for r in rows)
+        if header == ["key", "value"]:  # a report without rows: every leaf
+            assert rows[0] == ["schema", "1"] and all(re.fullmatch(_KEY, r[0]) for r in rows)
     else:
-        assert out.endswith("\n") and all(_HUMAN_LINE.fullmatch(line) for line in out.splitlines())
+        lines = out.splitlines()
+        assert out.endswith("\n") and lines[0] == "schema: 1"
+        assert all(re.fullmatch(_KEY + ": .*", line) for line in lines)
+
+
+def _leaves(node, key=""):
+    """(dotted key, text) for every leaf of a parsed JSON document: the
+    text a float has in the document, JSON's literals, and a string with
+    U+0000-U+001F, backslash and quote escaped as the document does."""
+    if isinstance(node, (dict, list)):
+        for k, v in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _leaves(v, f"{key}.{k}" if key else str(k))
+    elif isinstance(node, str):
+        escaped = (f"\\u{ord(c):04x}" if c < " " else "\\" + c if c in '\\"' else c for c in node)
+        yield key, "".join(escaped)
+    else:
+        yield key, format(node, ".17g") if isinstance(node, float) else json.dumps(node)
+
+
+def _assert_holds_every_leaf(out: str, output_format: str, doc: dict):
+    """Human output is one line per leaf of the JSON document, in its
+    order; CSV is one row per leaf, or for a report with rows their table."""
+    leaves = list(_leaves(doc))
+    if output_format == "human":
+        assert out.splitlines() == [f"{k}: {v}" for k, v in leaves]
+    elif "rows" in doc:
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == list(doc["rows"][0]) and len(rows) == len(doc["rows"])
+        for k, v in leaves:
+            if k.startswith("rows."):
+                i, column = k.split(".")[1:]
+                assert rows[int(i)][header.index(column)] == v, k
+    else:
+        assert list(csv.reader(io.StringIO(out))) == [["key", "value"], *map(list, leaves)]
 
 
 def _run_argv_cleanly(argv):
@@ -388,9 +423,32 @@ _SUBCOMMANDS = [
 @given(seed=st.integers(0, 2**40), samples=st.integers(1, 40))
 @settings(max_examples=2, deadline=None)
 def test_every_subcommand_in_csv_and_human_ends_cleanly(command, output_format, seed, samples):
-    argv = [f"--format={output_format}", f"--seed={seed}", f"--samples={samples}", *command]
-    code, out = _run_argv_cleanly(argv)
+    # and loses no field of the same run's JSON document
+    argv = [f"--seed={seed}", f"--samples={samples}", *command]
+    code, out = _run_argv_cleanly([f"--format={output_format}", *argv])
     assert code in (EXIT_PASS, EXIT_TOLERANCE) and out
+    json_code, json_out = run_cli(argv)
+    assert code == json_code
+    _assert_holds_every_leaf(out, output_format, json.loads(json_out))
+
+
+@pytest.mark.parametrize("output_format", ["json", "csv", "human"])
+def test_closed_stdout_exits_input_without_traceback(output_format):
+    # the reader of stdout is gone before the report is written
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [f"--format={output_format}", "cylinder", "--t", "0..1"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cauchys3.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stderr.startswith("cylinder: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 _PROBE_POINTS = st.one_of(
