@@ -18,7 +18,7 @@ import numpy as np
 from .frame import Chirality, ScalarField, _as_array, frame_jet
 from .polynomial import evaluate
 from .tensor import cov_components, cov_entries, cross_components, divergence_components, dot_components
-from .tensor import stack_components, structure_constant, wedge_endo
+from .tensor import stack_components, structure_constant, trace_components, wedge_endo
 
 __all__ = [
     "SymEnd3Field",
@@ -98,8 +98,9 @@ class SymEnd3Field:
     # -- constructors --------------------------------------------------
     @classmethod
     def from_constant_matrix(cls, m, chirality: Chirality = Chirality.LEFT) -> "SymEnd3Field":
+        """A constant field; m may differ from its transpose by rounding only."""
         m = np.asarray(m, dtype=float)
-        if m.shape != (3, 3) or not np.allclose(m, m.T, atol=1e-14):
+        if m.shape != (3, 3) or not np.allclose(m, m.T, rtol=0.0, atol=1e-14 * max(1.0, np.max(np.abs(m)))):
             raise ValueError("expected a symmetric 3x3 matrix")
         sym = 0.5 * (m + m.T)
         return cls([[sym[i, j] for j in range(3)] for i in range(3)], chirality)
@@ -256,23 +257,23 @@ def _frame_directions(x, y, pair):
 
 
 def _lin(terms):
-    """sum of c * v over (c, v), constant c, in order and from +0 as numpy
-    sums it: c == 0 adds a zero and is skipped, c == +-1 needs no product,
-    and no v here is -0, so a leading unit term needs no +0."""
+    """sum of c * v over (c, v) with constant c != 0, left to right from the
+    first such term (0.0 if none): a zero c is skipped, and c == +-1 takes
+    no product, as -1 * v is -v exactly."""
     out = None
     for c, v in terms:
         if c != 0.0:
             t = v if c == 1.0 or c == -1.0 else c * v
             if out is None:
-                out = t if c == 1.0 else (0.0 - t if c == -1.0 else 0.0 + t)
+                out = -t if c == -1.0 else t
             else:
                 out = out - t if c == -1.0 else out + t
     return 0.0 if out is None else out
 
 
-def _apply(m, x, i: int):
-    """(M X)_i, 9-tuple m, constant x, in numpy's einsum order (0, 2, 1)."""
-    return _lin((x[j], m[3 * i + j]) for j in (0, 2, 1))
+def _apply(m, x) -> list:
+    """M X for a 9-tuple m and a constant x, each entry by `_lin`."""
+    return [_lin(zip(x, m[3 * i : 3 * i + 3])) for i in range(3)]
 
 
 def modified_connection(A: SymEnd3Field, points, a: int, b: int) -> np.ndarray:
@@ -295,17 +296,17 @@ def flatness_residual(A: SymEnd3Field, points, x=None, y=None, pair=None) -> np.
 
 def _flatness(m, dm, chirality, x, y) -> list:
     """The residual's components from the 9-tuples of A and its frame
-    derivatives, summed as the matrix form sums them; an entry of
-    nabla_{e_k} A is formed only where a nonzero x_k and y_j reach it."""
+    derivatives, every sum by `_lin`; an entry of nabla_{e_k} A is formed
+    only where a nonzero x_k and y_j reach it."""
 
     def cov(u, e):  # entry e of nabla_U A = sum_k u_k nabla_{e_k} A
         return _lin((u[k], cov_entries(m, dm[k], k + 1, chirality, (e,))[0]) for k in range(3) if u[k])
 
     def applied(u, v, i):  # ((nabla_U A) V)_i
-        return _lin((v[j], cov(u, 3 * i + j)) for j in (0, 2, 1) if v[j])
+        return _lin((v[j], cov(u, 3 * i + j)) for j in range(3) if v[j])
 
     curv = -wedge_endo(x, y)  # R(X,Y) dual vector
-    axy = cross_components(*([_apply(m, vec, i) for i in range(3)] for vec in (x, y)))  # A(X) x A(Y)
+    axy = cross_components(_apply(m, x), _apply(m, y))  # A(X) x A(Y)
     out = []
     for i in range(3):
         r = applied(x, y, i) - applied(y, x, i)
@@ -317,8 +318,8 @@ _SQRT2 = np.sqrt(2.0)
 
 
 def _norm(r):
-    """sqrt(2) |r| for a 3-tuple r, summed as np.linalg.norm sums it."""
-    return _SQRT2 * np.sqrt((r[0] * r[0] + r[1] * r[1]) + r[2] * r[2])
+    """sqrt(2) |r| for a 3-tuple r, as sqrt(2) * sqrt(r . r)."""
+    return _SQRT2 * np.sqrt(dot_components(r, r))
 
 
 def residual_norm(dual) -> np.ndarray:
@@ -337,13 +338,13 @@ def flatness_residual_norms(A: SymEnd3Field, points) -> np.ndarray:
 def gauss_codazzi_residual(A: SymEnd3Field, points):
     """(6 - tr(A)^2 + tr(A^2),  delta^nabla A + d tr A) on the round sphere."""
     m, *dm = A.jet_components(points)
-    tr = (m[0] + m[4]) + m[8]
-    # tr(A^2) = sum_i (sum_j a_ij a_ji), the order of numpy's einsum
-    rows = [(m[3 * i] * m[i] + m[3 * i + 1] * m[3 + i]) + m[3 * i + 2] * m[6 + i] for i in range(3)]
-    scalar = 6.0 - tr**2 + ((rows[0] + rows[1]) + rows[2])
+    tr = trace_components(m)
+    # tr(A^2) = sum_i (row i of A) . (column i of A)
+    sq = [dot_components(m[3 * i : 3 * i + 3], m[i::3]) for i in range(3)]
+    scalar = 6.0 - tr * tr + (sq[0] + sq[1] + sq[2])  # tr**2 would call pow() on one point
     div = divergence_components(m, dm, A.chirality)  # delta^nabla A
     # d tr A = sum_k e_k(tr A) e_k
-    return scalar, stack_components([div[k] + ((dm[k][0] + dm[k][4]) + dm[k][8]) for k in range(3)])
+    return scalar, stack_components([div[k] + trace_components(dm[k]) for k in range(3)])
 
 
 def linearized_residual(A: SymEnd3Field, Adot: SymEnd3Field, points, x=None, y=None, pair=None):
@@ -365,24 +366,17 @@ def linearized_residual(A: SymEnd3Field, Adot: SymEnd3Field, points, x=None, y=N
     pts = _as_array(points)
     m = A.entry_values(pts)
     n, *dn = Adot.jet_components(pts)
-    nx, ny = ([_apply(n, vec, i) for i in range(3)] for vec in (x, y))
+    nx, ny = _apply(n, x), _apply(n, y)
     terms = []
     for k in range(3):
         # nabla^A_{e_k} of the coefficient fields q -> Adot(q) y and Adot(q) x
         ak = m[k :: 3]
         if x[k] != 0.0:
-            terms.append((x[k], cov_components(ny, [_apply(dn[k], y, i) for i in range(3)], k + 1, A.chirality, ak)))
+            terms.append((x[k], cov_components(ny, _apply(dn[k], y), k + 1, A.chirality, ak)))
         if y[k] != 0.0:
-            terms.append((-y[k], cov_components(nx, [_apply(dn[k], x, i) for i in range(3)], k + 1, A.chirality, ak)))
-    bracket = structure_constant(A.chirality) * np.cross(x, y)
-    return stack_components(
-        [_lin([(c, v[i]) for c, v in terms] + [(-1.0, _apply(n, bracket, i))]) for i in range(3)]
-    )
-
-
-def _trace(m):
-    """tr A for a 9-tuple, as np.trace sums it: from +0, in index order."""
-    return ((0.0 + m[0]) + m[4]) + m[8]
+            terms.append((-y[k], cov_components(nx, _apply(dn[k], x), k + 1, A.chirality, ak)))
+    nb = _apply(n, structure_constant(A.chirality) * np.cross(x, y))  # Adot([X, Y])
+    return stack_components([_lin([(c, v[i]) for c, v in terms] + [(-1.0, nb[i])]) for i in range(3)])
 
 
 def _symmetry(m, x, dx, chirality: Chirality) -> list:
@@ -392,7 +386,7 @@ def _symmetry(m, x, dx, chirality: Chirality) -> list:
     e_a(x_b) - e_b(x_a) - lambda x_c, with lambda the structure constant
     of X's frame.
     """
-    lam, tr = structure_constant(chirality), _trace(m)
+    lam, tr = structure_constant(chirality), trace_components(m)
     out = [None] * 3
     for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         out[c] = (dx[a][b] - dx[b][a] - lam * x[c]) - (x[c] * tr - dot_components(m[3 * c : 3 * c + 3], x))
@@ -426,15 +420,14 @@ def xi_operator(A: SymEnd3Field, X: VectorField3, points):
     pts = _as_array(points)
     m, *dm = A.jet_components(pts)
     x, *dx = frame_jet(X.components, pts, X.chirality)
-    tr = _trace(m)
-    div = 0.0
-    for k in range(3):
-        # W_k = x_k tr A - (A x)_k; e_k W_k by the product rule
-        row, drow = m[3 * k : 3 * k + 3], dm[k][3 * k : 3 * k + 3]
-        div = div + (
-            ((dx[k][k] * tr + x[k] * _trace(dm[k])) - dot_components(drow, x)) - dot_components(row, dx[k])
-        )
-    return stack_components(_symmetry(m, x, dx, X.chirality)), -div
+    tr = trace_components(m)
+    # W_k = x_k tr A - (A x)_k; e_k W_k by the product rule
+    ew = [
+        ((dx[k][k] * tr + x[k] * trace_components(dm[k])) - dot_components(dm[k][3 * k : 3 * k + 3], x))
+        - dot_components(m[3 * k : 3 * k + 3], dx[k])
+        for k in range(3)
+    ]
+    return stack_components(_symmetry(m, x, dx, X.chirality)), -(ew[0] + ew[1] + ew[2])
 
 
 def definiteness_check(B):

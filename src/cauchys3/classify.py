@@ -24,9 +24,9 @@ import numpy as np
 
 from .cauchy import SymEnd3Field, VectorField3, _coerce_entry, _same_entry
 from .deformation import lie_derivative_endo
-from .frame import Chirality, ScalarField, random_points
+from .frame import Chirality, ScalarField, _fd_step, random_points
 from .polynomial import Poly, evaluate
-from .tensor import cross_components
+from .tensor import cross_components, dot_components, hat_components, matmul_components, matvec_components
 
 __all__ = [
     "constant_frame_residual",
@@ -193,8 +193,8 @@ def hopf_reduction_residual(h: HopfReducedData, points) -> np.ndarray:
     covariant derivatives of basic fields are horizontal projections of
     round S^3 ones (Riemannian submersion), taken of v, Jv and B J extended
     by zero on xi, where Gamma_2 and Gamma_3 have no horizontal part: they
-    are the frame derivatives of the components.  Each sum runs in the
-    order of the matrix form this replaced, so the magnitudes keep its bits.
+    are the frame derivatives of the components.  Each sum is written out
+    and runs left to right, as the component helpers of `tensor` do.
     """
     A = SymEnd3Field(
         [[h.f, h.v[0], h.v[1]], [h.v[0], h.B[0][0], h.B[0][1]], [h.v[1], h.B[0][1], h.B[1][1]]],
@@ -262,11 +262,11 @@ def random_s2_points(n: int, seed: int = 0) -> np.ndarray:
 
 
 # The kernels below hold a vector as a 3-tuple and a matrix as a row-major
-# 9-tuple of components: Python floats for one point, arrays of the batch
-# shape otherwise, told apart only by `_split` and `_join`.  Every sum is
-# (a0*b0 + a1*b1) + a2*b2 and every norm the sqrt of one, from + - * / and
-# sqrt alone, which round the same on floats and on arrays: a point has
-# the same bits alone and in any batch, under any SIMD or BLAS kernel.
+# 9-tuple of components (Python floats for one point, arrays of the batch
+# shape otherwise, told apart only by `_split` and `_join`).  They use the
+# component helpers of `tensor` and sqrt, which round the same on floats and
+# on arrays: a point has the same bits alone, in any batch and under any
+# SIMD or BLAS kernel.
 
 
 def _split(a, k: int = 1) -> list:
@@ -287,41 +287,17 @@ def _matrices(a, k: int = 1) -> list:
     return _split(a.reshape(a.shape[:-2] + (9,)), k)
 
 
-def _dot(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _mv(m, v):
-    v0, v1, v2 = v
-    return (m[0] * v0 + m[1] * v1 + m[2] * v2, m[3] * v0 + m[4] * v1 + m[5] * v2, m[6] * v0 + m[7] * v1 + m[8] * v2)
-
-
-def _mm(a, b):
-    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
-    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
-    return (
-        a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
-        a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
-        a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8,
-    )  # fmt: skip
-
-
 def _add3(a, b, c):
     return tuple(x + y + z for x, y, z in zip(a, b, c))
 
 
 def _normalize(p):
-    d = _dot(p, p)
+    d = dot_components(p, p)
     one = isinstance(d, float)
     if not (d if one else d.all()):  # a zero point has no direction; NaN passes and propagates
         raise ValueError("S² point must be nonzero")
     n = math.sqrt(d) if one else np.sqrt(d)  # both round correctly
     return (p[0] / n, p[1] / n, p[2] / n)
-
-
-def _hat(v):
-    """The matrix of v x ., as `tensor.hat`."""
-    return (0.0, -v[2], v[1], v[2], 0.0, -v[0], -v[1], v[0], 0.0)
 
 
 def _projector(q):
@@ -332,7 +308,7 @@ def _projector(q):
 def _project(q, m):
     """P M P at q."""
     proj = _projector(q)
-    return _mm(_mm(proj, m), proj)
+    return matmul_components(proj, m, proj)
 
 
 def _frame(p) -> tuple:
@@ -359,8 +335,11 @@ def _exact_local(proj, dprojs, n, M, Mn, dMs) -> tuple:
     d/dt [P M P](c(t)) = (D_x P) M P + P (D_x M) P + P M (D_x P); the
     curve t -> normalize(p + t x) has velocity x at t = 0 for tangent x.
     """
-    pm = _mm(proj, M)
-    derivs = [_add3(_mm(_mm(d, M), proj), _mm(_mm(proj, dM), proj), _mm(pm, d)) for d, dM in zip(dprojs, dMs)]
+    pm = matmul_components(proj, M)
+    derivs = [
+        _add3(matmul_components(d, M, proj), matmul_components(proj, dM, proj), matmul_components(pm, d))
+        for d, dM in zip(dprojs, dMs)
+    ]
     return _project(n, Mn), derivs
 
 
@@ -393,7 +372,7 @@ class S2EndField:
             raise ValueError("provide exactly one of mats / func")
         self.mats = mats
         self.func = func
-        self.fd_step = float(fd_step)
+        self.fd_step = _fd_step(fd_step)
         self._entries = None if mats is None else [e for row in mats for e in row]
         self._grads = None  # gradients of the polynomial entries, built on first use
 
@@ -424,7 +403,7 @@ class S2EndField:
             self._grads = [g for e in self._entries for g in e.gradient()]
         vals = np.array(evaluate(self._entries + self._grads, _join([p, n], 2)))
         at_p, at_n = _split(np.moveaxis(vals, 0, -1), 2)
-        dMs = [tuple(_dot(at_p[9 + 3 * e : 12 + 3 * e], x) for e in range(9)) for x in dirs]
+        dMs = [tuple(dot_components(at_p[9 + 3 * e : 12 + 3 * e], x) for e in range(9)) for x in dirs]
         return at_p[:9], at_n[:9], dMs
 
     def _local(self, p, frame, proj, dprojs) -> tuple:
@@ -445,7 +424,8 @@ def _covariant_endo(proj, dproj, y, dU, Uv):
     tangential value already absorbs the projector), while
     nabla-bar_x y-tilde = P (D_x P) y.
     """
-    a, b = _mv(proj, _mv(dU, y)), _mv(Uv, _mv(proj, _mv(dproj, y)))
+    a = matvec_components(proj, matvec_components(dU, y))
+    b = matvec_components(Uv, matvec_components(proj, matvec_components(dproj, y)))
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
@@ -470,9 +450,9 @@ def s2_rigidity_residual(U: S2EndField, p) -> tuple:
     frame, proj, dprojs = _frame(p)
     Uv, derivs = U._local(p, frame, proj, dprojs)
     delta = _delta_endo_s2(proj, dprojs, frame, Uv, derivs)
-    (x, jx), (ux, ujx) = frame, [_mv(Uv, v) for v in frame]
-    det = _dot(x, ux) * _dot(jx, ujx) - _dot(x, ujx) * _dot(jx, ux)
-    return det - 1.0, _join([_dot(delta, v) for v in frame])
+    (x, jx), (ux, ujx) = frame, [matvec_components(Uv, v) for v in frame]
+    det = dot_components(x, ux) * dot_components(jx, ujx) - dot_components(x, ujx) * dot_components(jx, ux)
+    return det - 1.0, _join([dot_components(delta, v) for v in frame])
 
 
 def codazzi_divfree_equiv(S: S2EndField, p) -> tuple:
@@ -484,24 +464,28 @@ def codazzi_divfree_equiv(S: S2EndField, p) -> tuple:
     """
     p = _split(np.asarray(p, dtype=float))
     frame, proj, dprojs = _frame(p)
-    J = _hat(p)  # the complex structure v -> p x v
+    J = hat_components(p)  # the complex structure v -> p x v
     if S.mats is not None:
         # J S J = hat(p) M hat(p), differentiated by the product rule
         n = _normalize(p)
         M, Mn, dMs = S._jet(p, n, frame)
-        jm, jn = _mm(J, M), _hat(n)
-        dJSJ = [_add3(_mm(_mm(_hat(v), M), J), _mm(_mm(J, dM), J), _mm(jm, _hat(v))) for v, dM in zip(frame, dMs)]
+        jm, jn = matmul_components(J, M), hat_components(n)
+        dJSJ = [
+            _add3(matmul_components(h, M, J), matmul_components(J, dM, J), matmul_components(jm, h))
+            for h, dM in zip(map(hat_components, frame), dMs)
+        ]
         Sv, (dx, djx) = _exact_local(proj, dprojs, n, M, Mn, dMs)
-        JSJ = _exact_local(proj, dprojs, n, _mm(jm, J), _mm(_mm(jn, Mn), jn), dJSJ)
+        JSJ = _exact_local(proj, dprojs, n, matmul_components(jm, J), matmul_components(jn, Mn, jn), dJSJ)
     else:
         # S at the FD points q and at their renormalisations, for J S J, in one call of S.func
         q = _fd_points(p, frame, S.fd_step)
         nq = [_normalize(x) for x in q]
         raw_q, raw_nq = _matrices(S.raw(_join([q, nq], 3)), 3)
         Sv, (dx, djx) = _fd_local([_project(a, m) for a, m in zip(q, raw_q)], S.fd_step)
-        jsj = [_project(a, _mm(_mm(_hat(a), _project(b, m)), _hat(a))) for a, b, m in zip(q, nq, raw_nq)]
+        hq = [hat_components(a) for a in q]  # J at each FD point
+        jsj = [_project(a, matmul_components(h, _project(b, m), h)) for a, b, m, h in zip(q, nq, raw_nq, hq)]
         JSJ = _fd_local(jsj, S.fd_step)
     (x, jx), (dpx, dpjx) = frame, dprojs
     a, b = _covariant_endo(proj, dpx, jx, dx, Sv), _covariant_endo(proj, dpjx, x, djx, Sv)
     rhs = _delta_endo_s2(proj, dprojs, frame, *JSJ)
-    return _join(_mv(J, (a[0] - b[0], a[1] - b[1], a[2] - b[2]))), _join([-c for c in rhs])
+    return _join(matvec_components(J, (a[0] - b[0], a[1] - b[1], a[2] - b[2]))), _join([-c for c in rhs])

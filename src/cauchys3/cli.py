@@ -229,6 +229,8 @@ def cmd_classify(args, config: RunConfig) -> tuple:
 
 
 def cmd_deform(args, config: RunConfig) -> tuple:
+    if config.samples < 2:  # one point samples each basis field as a vector of R^3: rank 3, never 5
+        raise ValueError("needs --samples >= 2")
     n = min(config.samples, 200)
     pts = random_points(n, seed=config.seed)
     rep = dfm.deformation_report(pts)

@@ -145,7 +145,7 @@ def lie_derivative_endo(A: SymEnd3Field, Z: VectorField3, points) -> np.ndarray:
         ez = cross_components([float(i == col) for i in range(3)], z)
         bracket_ze = [-dz[col][j] - lam * ez[j] for j in range(3)]
         for j in range(3):
-            br1 = sum(z[k] * dm[k][3 * j + col] for k in range(3)) - sum(w[k] * dz[k][j] for k in range(3))
+            br1 = dot_components(z, [d[3 * j + col] for d in dm]) - dot_components(w, [d[j] for d in dz])
             out[3 * j + col] = (br1 + lam * zw[j]) - dot_components(m[3 * j : 3 * j + 3], bracket_ze)
     return stack_components(out, 2)
 

@@ -150,6 +150,14 @@ FRAME_MATRICES = {
 }
 
 
+def _fd_step(h) -> float:
+    """A finite-difference step as a float; ValueError unless it is a positive finite number."""
+    h = float(h)
+    if not 0.0 < h < np.inf:  # False for NaN
+        raise ValueError(f"fd_step must be a positive finite number, got {h}")
+    return h
+
+
 class ScalarField:
     """A real function on S^3 with a declared derivative mode.
 
@@ -171,11 +179,9 @@ class ScalarField:
             raise ValueError("provide exactly one of poly / func")
         if poly is not None and poly.nvars != 4:
             raise ValueError("ambient polynomials live in 4 variables")
-        if fd_step <= 0:
-            raise ValueError("fd_step must be positive")
         self.poly = poly
         self.func = func
-        self.fd_step = float(fd_step)
+        self.fd_step = _fd_step(fd_step)
         self._fd_depth = _fd_depth
         self._dcache = {}
 

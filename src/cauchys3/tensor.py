@@ -13,14 +13,15 @@ The star is the identity on storage; `hat`/`unhat` convert between the
 3-vector and the skew matrix when an endomorphism has to act.
 
 The covariant kernel is component-major: a matrix is a row-major 9-tuple
-of component arrays, a vector a 3-tuple, as `jet_components` and
-`frame_jet` give them.  Each Gamma_k has one +-1 in each row and column
-other than k, so its products are signed adds, with no matmul, einsum
-or stacking; `cross_components` and `dot_components` keep np.cross's and
-einsum's bits, and each sum runs in the order of the matrix form it
-replaced, whose bits it keeps.  Every round-S^3 operator in `cauchy`
-and `deformation` runs on this one format.  `d_nabla_A` keeps the
-matrix form: it is the independent oracle of the flatness residual.
+of components (arrays of the batch shape, or floats), a vector a 3-tuple,
+as `jet_components` and `frame_jet` give them.  Each Gamma_k has one +-1
+in each row and column other than k, so its products are signed adds.
+The `*_components` helpers (dot, cross, matvec, matmul, hat, trace) serve
+it and the S^2 section of `classify`; each sum in them is written out left
+to right from its first term, (a0*b0 + a1*b1) + a2*b2, so a point has the
+same bits alone and in any batch, whatever numpy's reductions do.  Every
+round-S^3 operator in `cauchy` and `deformation` runs on this format;
+`d_nabla_A` keeps the matrix form as the oracle of the flatness residual.
 """
 
 from __future__ import annotations
@@ -50,6 +51,10 @@ __all__ = [
     "divergence_components",
     "cross_components",
     "dot_components",
+    "matvec_components",
+    "matmul_components",
+    "hat_components",
+    "trace_components",
     "stack_components",
     "d_nabla_A",
     "divergence_A",
@@ -58,16 +63,7 @@ __all__ = [
 
 def hat(v) -> np.ndarray:
     """Skew matrix of the dual vector v: hat(v) Z = v x Z.  Batched."""
-    v = np.asarray(v, dtype=float)
-    out = np.zeros(v.shape[:-1] + (3, 3))
-    v1, v2, v3 = v[..., 0], v[..., 1], v[..., 2]
-    out[..., 0, 1] = -v3
-    out[..., 1, 0] = v3
-    out[..., 0, 2] = v2
-    out[..., 2, 0] = -v2
-    out[..., 1, 2] = -v1
-    out[..., 2, 1] = v1
-    return out
+    return stack_components(hat_components(np.moveaxis(np.asarray(v, dtype=float), -1, 0)), 2)
 
 
 def unhat(m) -> np.ndarray:
@@ -253,21 +249,49 @@ _ROWS = {
 
 
 def cross_components(a, b) -> tuple:
-    """a x b for 3-tuples, by np.cross's products and differences, so the same bits."""
+    """a x b for 3-tuples."""
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
 def dot_components(a, b):
-    """a . b for 3-tuples, as einsum sums over a last axis of 3: from +0,
-    in the order (0, 2, 1), so the same bits, signed zeros included."""
-    return ((0.0 + a[0] * b[0]) + a[2] * b[2]) + a[1] * b[1]
+    """a . b for 3-tuples, as (a0*b0 + a1*b1) + a2*b2."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def matvec_components(m, v) -> tuple:
+    """M v for a row-major 9-tuple m and a 3-tuple v, each entry a dot in written order."""
+    v0, v1, v2 = v
+    return (m[0] * v0 + m[1] * v1 + m[2] * v2, m[3] * v0 + m[4] * v1 + m[5] * v2, m[6] * v0 + m[7] * v1 + m[8] * v2)
+
+
+def matmul_components(a, b, *more) -> tuple:
+    """A B (C ...) for row-major 9-tuples, multiplied left to right, each entry a dot in written order."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    ab = (
+        a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
+        a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+        a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8,
+    )  # fmt: skip
+    return matmul_components(ab, *more) if more else ab
+
+
+def hat_components(v) -> tuple:
+    """The 9-tuple of hat(v), the matrix of v x ."""
+    return (0.0, -v[2], v[1], v[2], 0.0, -v[0], -v[1], v[0], 0.0)
+
+
+def trace_components(m):
+    """tr M for a row-major 9-tuple, as (m00 + m11) + m22."""
+    return m[0] + m[4] + m[8]
 
 
 def cov_entries(m, dm, k: int, chirality: Chirality = Chirality.LEFT, entries=range(9)) -> list:
     """Entries 3i + j of nabla_{e_k} A = dA_k + [Gamma_k, A] (round metric)
-    from the 9-tuples m of A and dm of its e_k-derivative, added as the
-    matrix form (dm + G m) - m G adds them: its bits whenever dm holds no
-    -0, as no jet does (sums start from +0)."""
+    from the 9-tuples m of A and dm of its e_k-derivative, as
+    (dm + G m) - m G with each product a dot in written order.  A zero
+    product of G is skipped, which moves no bit whenever dm holds no -0,
+    as no jet does."""
     rows, out = _ROWS[chirality][k - 1], []
     for i, j in (divmod(e, 3) for e in entries):
         v = dm[3 * i + j]
@@ -283,7 +307,8 @@ def cov_components(w, dw, k: int, chirality: Chirality = Chirality.LEFT, a=None)
     """nabla_{e_k} W = dW_k + Gamma_k W from the 3-tuples w of W and dw of
     its e_k-derivative; given a = A(e_k), nabla^A_{e_k} W = dW_k + b x W,
     as Gamma_k + hat(a) = hat(b), b = a + (lambda/2) e_k, entry for entry.
-    The matrix form's bits whenever dw holds no -0."""
+    The bits of dW_k + (Gamma_k [+ hat(a)]) W with each row a dot in
+    written order whenever dw holds no -0."""
     rows = _ROWS[chirality][k - 1]
     if a is None:
         return tuple(dw[i] if rows[i] is None else rows[i][1](dw[i], w[rows[i][0]]) for i in range(3))

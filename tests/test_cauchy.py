@@ -367,6 +367,9 @@ def test_symend_field_rejects_mismatched_lower_triangle(pts500):
     for entries in bad:
         with pytest.raises(ValueError, match="not symmetric"):
             SymEnd3Field(entries)
+    # a constant matrix may differ from its transpose by rounding only, not by 1e-6
+    with pytest.raises(ValueError, match="symmetric"):
+        SymEnd3Field.from_constant_matrix([[1.0, 1.0, 0.0], [1.000001, 1.0, 0.0], [0.0, 0.0, 1.0]])
     # equal by value, by terms, or by callable and step
     same = [
         [[1, 2, 3], [2.0, 5, 6], [3, 6, 9]],
@@ -500,12 +503,16 @@ def test_vector_jet_symmetry_and_xi_match_per_field_evaluation(mode, pts500):
     d = [np.stack([c.frame_derivative(k)(pts) for c in X.components], axis=-1) for k in (1, 2, 3)]
     for k in range(3):
         assert np.array_equal(dx[k], d[k])
-    # dX - *(X tr A - A X), assembled from the per-field values
-    M = A.matrix(pts)
-    dX = np.zeros_like(x)
-    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        dX[..., c] = d[a][..., b] - d[b][..., a] - 2.0 * x[..., c]
-    tr = np.trace(M, axis1=-2, axis2=-1)
-    expected = dX - (x * tr[..., None] - np.einsum("...ij,...j->...i", M, x))
+    # dX - *(X tr A - A X), assembled point by point in Python floats from the
+    # per-field values, every sum left to right: (a0*b0 + a1*b1) + a2*b2
+    expected = []
+    for M, u, du in zip(A.matrix(pts).tolist(), x.tolist(), np.stack(d, axis=-2).tolist()):
+        tr = M[0][0] + M[1][1] + M[2][2]
+        row = [None] * 3
+        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            au = M[c][0] * u[0] + M[c][1] * u[1] + M[c][2] * u[2]
+            row[c] = ((du[a][b] - du[b][a]) - 2.0 * u[c]) - (u[c] * tr - au)
+        expected.append(row)
+    expected = np.array(expected)
     assert np.array_equal(symmetry_residual(A, X, pts), expected)
     assert np.array_equal(xi_operator(A, X, pts)[0], expected)

@@ -25,7 +25,6 @@ from cauchys3.classify import (
 )
 from cauchys3.frame import Chirality, ScalarField, coordinate_field
 from cauchys3.polynomial import Poly
-from cauchys3.tensor import gamma_round
 
 EXPECTED_SOLUTIONS = {
     (1.0, 1.0, 1.0),
@@ -211,86 +210,94 @@ def test_sd_zero_field_controls(pts50):
     assert per_eq[3] < 1e-15
 
 
-# The helper-based residual this package shipped before the jet: every
-# field, derivative field and twisted field evaluated on its own.  Kept
-# as an oracle for the jet-based hopf_reduction_residual.
-_J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+# The helper-based residual this package shipped before the jet, kept as an
+# oracle for the jet-based hopf_reduction_residual: every field, derivative
+# field and twisted field evaluated on its own, then the equations assembled
+# one point at a time in Python floats, every sum written out left to right.
+# It builds Gamma_2 and Gamma_3 by its own loop and imports no helper of the
+# code it checks.
+_J2 = [[0.0, -1.0], [1.0, 0.0]]
 
 
-def _ref_gradient(f, pts):
-    return np.stack([f.frame_derivative(2)(pts), f.frame_derivative(3)(pts)], axis=-1)
+def _ref_gamma_left(a):
+    """Gamma_a of the left frame as nested lists: column k holds nabla_{e_a} e_k."""
+    g = [[0.0] * 3 for _ in range(3)]
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # [e_a, e_b] = 2 e_c: Gamma_a[c][b] = eps_{abc}
+        if i == a - 1:
+            g[k][j], g[j][k] = 1.0, -1.0
+    return g
 
 
-def _ref_horizontal_cov(G, wvals, pts):
-    full = np.zeros(pts.shape[:-1] + (3,))
-    full[..., 1:] = wvals
-    return np.einsum("ij,...j->...i", G, full)
+_G23 = (_ref_gamma_left(2), _ref_gamma_left(3))
 
 
-def _ref_nabla_v(h, pts):
-    vvals = np.stack([c(pts) for c in h.v], axis=-1)
-    out = np.zeros(pts.shape[:-1] + (2, 2))
-    for i in range(2):
-        dv = np.stack([c.frame_derivative(i + 2)(pts) for c in h.v], axis=-1)
-        out[..., :, i] = dv + _ref_horizontal_cov(gamma_round(i + 2), vvals, pts)[..., 1:]
-    return out
+def _dot(a, b):
+    return sum((x * y for x, y in zip(a[1:], b[1:])), a[0] * b[0])
 
 
-def _ref_div(fields, pts):
-    div = np.zeros(pts.shape[:-1])
-    wvals = np.stack([c(pts) for c in fields], axis=-1)
-    for i in range(2):
-        dw = fields[i].frame_derivative(i + 2)(pts)
-        div = div + dw + _ref_horizontal_cov(gamma_round(i + 2), wvals, pts)[..., i + 1]
-    return div
+def _mv2(m, v):
+    return [_dot(m[0], v), _dot(m[1], v)]
 
 
-def _ref_delta_endo(fields, pts):
-    Chat = np.zeros(pts.shape[:-1] + (3, 3))
-    for i in range(2):
-        for j in range(2):
-            Chat[..., i + 1, j + 1] = fields[i][j](pts)
-    delta = np.zeros(pts.shape[:-1] + (2,))
-    for i in range(2):
-        G = gamma_round(i + 2)
-        dC = np.zeros(pts.shape[:-1] + (3, 3))
-        for a in range(2):
-            for b in range(2):
-                dC[..., a + 1, b + 1] = fields[a][b].frame_derivative(i + 2)(pts)
-        delta = delta - (dC + G @ Chat - Chat @ G)[..., 1:, i + 1]
-    return delta
+def _horizontal_cov(G, w):
+    """(Gamma (0, w_0, w_1))[1:], the Gamma term of a horizontal field's derivative."""
+    full = [0.0, w[0], w[1]]
+    return [_dot(G[1], full), _dot(G[2], full)]
+
+
+def _hopf_point(f, v, B, df, dv, w, dw, C, dC):
+    """The four residual magnitudes at one point, from f, v, B, their e_2, e_3-derivatives
+    (df[i], dv[i][j]: e_{i+2} of f, v_j), the twisted field w = Jv with dw[i] = e_{i+2} w_i,
+    and C = B J with dC[i] its e_{i+2}-derivative."""
+    Bp1 = [[B[i][j] + float(i == j) for j in range(2)] for i in range(2)]
+    jv = _mv2(_J2, v)
+    r1 = [a - b for a, b in zip(_mv2(Bp1, jv), df)]
+    nabla_v = [[dv[i][j] + _horizontal_cov(_G23[i], v)[j] for i in range(2)] for j in range(2)]
+    JB = [[_dot(_J2[i], [Bp1[0][k], Bp1[1][k]]) for k in range(2)] for i in range(2)]
+    r2 = [((f - 1.0) * JB[i][k] - nabla_v[i][k]) - jv[i] * v[k] for i in range(2) for k in range(2)]
+    dstar = -((dw[0] + _horizontal_cov(_G23[0], w)[0]) + (dw[1] + _horizontal_cov(_G23[1], w)[1]))
+    r3 = (2.0 * (1.0 + f) - (Bp1[0][0] * Bp1[1][1] - Bp1[0][1] * Bp1[1][0])) - dstar
+    # delta-bar C = -sum_i (nabla_{e_{i+2}} C)(e_{i+2}), C extended by zero on xi
+    Chat = [[0.0] * 3] + [[0.0, *row] for row in C]
+    cov = []
+    for G, d in zip(_G23, dC):
+        dhat = [[0.0] * 3] + [[0.0, *row] for row in d]
+        col = [[G[r][c] for r in range(3)] for c in range(3)]
+        ccol = [[Chat[r][c] for r in range(3)] for c in range(3)]
+        cov.append([[(dhat[a][b] + _dot(G[a], ccol[b])) - _dot(Chat[a], col[b]) for b in range(3)] for a in range(3)])
+    delta = [-(cov[0][a + 1][1] + cov[1][a + 1][2]) for a in range(2)]
+    B3 = [[B[i][j] + 3.0 * float(i == j) for j in range(2)] for i in range(2)]
+    r4 = [a - b for a, b in zip(delta, _mv2(_J2, _mv2(B3, jv)))]
+    return [max(abs(r) for r in r1), max(abs(r) for r in r2), abs(r3), max(abs(r) for r in r4)]
 
 
 def _reference_hopf_residual(h, pts):
-    f = h.f(pts)
-    v = np.stack([c(pts) for c in h.v], axis=-1)
-    B = np.zeros(pts.shape[:-1] + (2, 2))
-    for i in range(2):
-        for j in range(2):
-            B[..., i, j] = h.B[i][j](pts)
-    Bp1 = B + np.eye(2)
-    jv = np.einsum("ij,...j->...i", _J2, v)
-    r1 = np.einsum("...ij,...j->...i", Bp1, jv) - _ref_gradient(h.f, pts)
-    outer = np.einsum("...i,...j->...ij", jv, v)
-    r2 = (f - 1.0)[..., None, None] * np.einsum("ij,...jk->...ik", _J2, Bp1) - _ref_nabla_v(h, pts) - outer
-    dstar = -_ref_div((-h.v[1], h.v[0]), pts)
-    det = Bp1[..., 0, 0] * Bp1[..., 1, 1] - Bp1[..., 0, 1] * Bp1[..., 1, 0]
-    r3 = 2.0 * (1.0 + f) - det - dstar
-    bj = [
-        [h.B[a][1] * _J2[1, 0] + h.B[a][0] * _J2[0, 0], h.B[a][0] * _J2[0, 1] + h.B[a][1] * _J2[1, 1]]
+    def at(field, k=None):
+        return (field if k is None else field.frame_derivative(k))(pts)
+
+    w = (-h.v[1], h.v[0])  # Jv as fields
+    C = [
+        [h.B[a][1] * _J2[1][0] + h.B[a][0] * _J2[0][0], h.B[a][0] * _J2[0][1] + h.B[a][1] * _J2[1][1]]
         for a in range(2)
     ]
-    rhs4 = np.einsum("ij,...j->...i", _J2, np.einsum("...ij,...j->...i", B + 3.0 * np.eye(2), jv))
-    r4 = _ref_delta_endo(bj, pts) - rhs4
-    return np.stack(
-        [
-            np.max(np.abs(r1), axis=-1),
-            np.max(np.abs(r2), axis=(-2, -1)),
-            np.abs(r3),
-            np.max(np.abs(r4), axis=-1),
-        ],
-        axis=-1,
-    )
+    inputs = [
+        at(h.f),
+        [at(c) for c in h.v],
+        [[at(h.B[i][j]) for j in range(2)] for i in range(2)],
+        [at(h.f, k) for k in (2, 3)],
+        [[at(c, k) for c in h.v] for k in (2, 3)],
+        [at(c) for c in w],
+        [at(w[i], i + 2) for i in range(2)],
+        [[at(c) for c in row] for row in C],
+        [[[at(c, k) for c in row] for row in C] for k in (2, 3)],
+    ]
+    batch = pts.shape[:-1]
+    # each input with the points first, as nested lists of Python floats
+    axes = tuple(range(len(batch)))
+    rows = [np.moveaxis(np.array(a, dtype=float), tuple(-1 - i for i in axes[::-1]), axes) for a in inputs]
+    rows = [a.reshape((-1,) + a.shape[len(batch) :]).tolist() for a in rows]
+    out = [_hopf_point(*args) for args in zip(*rows)]
+    return np.array(out).reshape(batch + (4,))
 
 
 def _fd_wrapped(A):
@@ -324,6 +331,14 @@ def test_hopf_residual_matches_reference_bit_for_bit(name, pts200):
         assert res.dtype == ref.dtype and np.array_equal(res, ref), name
     if name == "noninvariant":
         assert np.all(np.max(_reference_hopf_residual(h, pts200), axis=0) > 0.1)
+
+
+@pytest.mark.parametrize("make", [ScalarField.from_callable, S2EndField], ids=["ScalarField", "S2EndField"])
+@pytest.mark.parametrize("h", [0.0, -1e-5, np.nan, np.inf])
+def test_fd_step_must_be_positive_finite(make, h):
+    # a zero step divides by zero; NaN, inf or a negative step gave NaN or wrong-signed derivatives
+    with pytest.raises(ValueError, match="positive finite"):
+        make(func=lambda p: np.zeros(np.shape(p)[:-1] + (3, 3)), fd_step=h)
 
 
 def test_special_case_rejects_asymmetric_block(pts50):
