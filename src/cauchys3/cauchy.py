@@ -213,7 +213,12 @@ def right_family_left_frame() -> SymEnd3Field:
                     p = p + Poly(4, {tuple(e): M[m, n]})
         cos.append(p)
     entries = [
-        [ScalarField(poly=Poly.constant(3.0 if i == j else 0.0, 4) - 4.0 * (cos[i] * cos[j])) for j in range(3)]
+        [
+            ScalarField(
+                poly=(Poly.constant(3.0 if i == j else 0.0, 4)) - 4.0 * (cos[i] * cos[j])
+            )
+            for j in range(3)
+        ]
         for i in range(3)
     ]
     return SymEnd3Field(entries, Chirality.LEFT)
@@ -334,10 +339,12 @@ def gauss_codazzi_residual(A: SymEnd3Field, points):
     """(6 - tr(A)^2 + tr(A^2),  delta^nabla A + d tr A) on the round sphere."""
     m, *dm = A.jet_components(points)
     tr = trace_components(m)
-    sq = [dot_components(m[3 * i : 3 * i + 3], m[i::3]) for i in range(3)]  # tr(A^2) = sum_i (row i) . (column i)
+    # tr(A^2) = sum_i (row i of A) . (column i of A)
+    sq = [dot_components(m[3 * i : 3 * i + 3], m[i::3]) for i in range(3)]
     scalar = 6.0 - tr * tr + (sq[0] + sq[1] + sq[2])  # tr**2 would call pow() on one point
     div = divergence_components(m, dm, A.chirality)  # delta^nabla A
-    return scalar, stack_components([div[k] + trace_components(dm[k]) for k in range(3)])  # + d tr A
+    # d tr A = sum_k e_k(tr A) e_k
+    return scalar, stack_components([div[k] + trace_components(dm[k]) for k in range(3)])
 
 
 def linearized_residual(A: SymEnd3Field, Adot: SymEnd3Field, points, x=None, y=None, pair=None):
@@ -414,7 +421,8 @@ def xi_operator(A: SymEnd3Field, X: VectorField3, points):
     m, *dm = A.jet_components(pts)
     x, *dx = frame_jet(X.components, pts, X.chirality)
     tr = trace_components(m)
-    ew = [  # e_k W_k by the product rule, W_k = x_k tr A - (A x)_k
+    # W_k = x_k tr A - (A x)_k; e_k W_k by the product rule
+    ew = [
         ((dx[k][k] * tr + x[k] * trace_components(dm[k])) - dot_components(dm[k][3 * k : 3 * k + 3], x))
         - dot_components(m[3 * k : 3 * k + 3], dx[k])
         for k in range(3)

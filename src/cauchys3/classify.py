@@ -230,11 +230,15 @@ def special_case_residual(f: ScalarField, B, points) -> np.ndarray:
     """
     if not isinstance(f, ScalarField):
         f = ScalarField.constant(float(f))
-    if isinstance(B, np.ndarray) or (isinstance(B, (list, tuple)) and np.isscalar(B[0][0])):
+    if isinstance(B, np.ndarray) or (
+        isinstance(B, (list, tuple)) and np.isscalar(B[0][0])
+    ):
         Bm = np.asarray(B, dtype=float)
         if not np.array_equal(Bm, Bm.T):
             raise ValueError("B must be symmetric")
-        B_fields = tuple(tuple(ScalarField.constant(float(Bm[i, j])) for j in range(2)) for i in range(2))
+        B_fields = tuple(
+            tuple(ScalarField.constant(float(Bm[i, j])) for j in range(2)) for i in range(2)
+        )
     else:
         B_fields = tuple(tuple(B[i][j] for j in range(2)) for i in range(2))
     zero = ScalarField.constant(0.0)
