@@ -431,17 +431,20 @@ def xi_operator(A: SymEnd3Field, X: VectorField3, points):
 
 
 def definiteness_check(B):
-    """Test the pairwise-eigenvalue-sum criterion on a symmetric matrix.
+    """Test the pairwise-eigenvalue-sum criterion on a symmetric 3x3 matrix.
 
     Returns (is_definite, sign): is_definite is True when
-    l1 l2 + l1 l3 + l2 l3 > 0, which forces B - tr(B) Id to be definite;
-    sign is +1 / -1 for positive / negative definite (None otherwise).
+    s2 = l1 l2 + l1 l3 + l2 l3 = ((tr B)^2 - tr(B^2)) / 2 > 0, which forces
+    B - tr(B) Id to be definite; sign is +1 / -1 for positive / negative
+    definite (None otherwise).  Its eigenvalues are -(l_j + l_k), and when
+    s2 > 0 every pair sum has the sign of tr B, since
+    (l1 + l2)(l1 + l3) = l1^2 + s2.  Raises ValueError unless B is 3x3.
     """
     B = np.asarray(B, dtype=float)
-    lam = np.linalg.eigvalsh(0.5 * (B + B.T))
-    pair_sum = lam[0] * lam[1] + lam[0] * lam[2] + lam[1] * lam[2]
-    if pair_sum <= 0:
+    if B.shape != (3, 3):
+        raise ValueError(f"need a 3x3 matrix, got shape {B.shape}")
+    S = 0.5 * (B + B.T)
+    tr = float(np.trace(S))
+    if 0.5 * (tr * tr - float(np.sum(S * S))) <= 0:
         return False, None
-    shifted_eigs = lam - lam.sum()
-    sign = 1 if np.all(shifted_eigs > 0) else -1
-    return True, sign
+    return True, 1 if tr < 0 else -1

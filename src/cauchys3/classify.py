@@ -95,10 +95,11 @@ def constant_frame_solutions_bruteforce(grid: int = 13, span: float = 6.0) -> se
 def _constant_frame_newton(grid: int, span: float):
     """Final Newton iterate (grid^3, 3) and converged flag of every seed.
 
-    The live seeds step together, one batched solve per iteration.  As in
-    a loop over seeds, a seed converges at max|f| < 1e-12 and is dropped
-    when its own solve raises LinAlgError, when its step is non-finite or
-    above 1e3, or after 60 steps.
+    The live seeds step together.  Each step solves J x = f by Cramer's
+    rule, x = (c12 f0 + c20 f1 + c01 f2) / det with c_ij = r_i x r_j for
+    the Jacobian rows r_i and det = r0 . c12.  As in a loop over seeds, a
+    seed converges at max|f| < 1e-12 and is dropped when det == 0, when
+    its step is non-finite or above 1e3, or after 60 steps.
     """
     if grid < 2 or not 0.0 < span < np.inf:
         raise ValueError(f"need grid >= 2 and a positive finite span, got grid={grid}, span={span}")
@@ -112,28 +113,16 @@ def _constant_frame_newton(grid: int, span: float):
         ok[live[done]] = True
         live, f = live[~done], f[~done]
         a, b, c = (v[live] + 1).T
-        m2 = np.full(len(live), -2.0)
-        jac = np.stack([b, a, m2, m2, c, b, c, m2, a], axis=-1).reshape(-1, 3, 3)
-        step = _solve_rows(jac, f)
+        r0, r1, r2 = (b, a, -2.0), (-2.0, c, b), (c, -2.0, a)
+        c12, c20, c01 = cross_components(r1, r2), cross_components(r2, r0), cross_components(r0, r1)
+        det = dot_components(r0, c12)
+        f0, f1, f2 = f.T
+        with np.errstate(divide="ignore", invalid="ignore"):  # det == 0 gives a NaN or inf step
+            step = np.stack([(c12[k] * f0 + c20[k] * f1 + c01[k] * f2) / det for k in range(3)], axis=-1)
         keep = np.max(np.abs(step), axis=1) <= 1e3  # False for a NaN or inf step
         live, step = live[keep], step[keep]
         v[live] -= step
     return v, ok
-
-
-def _solve_rows(jac, f):
-    """Solve jac[i] x = f[i] for every row; NaN where that row's own solve raises.
-
-    A batched solve raises LinAlgError when any of its matrices is exactly
-    singular, so a failing batch is halved until each such row stands alone.
-    """
-    try:
-        return np.linalg.solve(jac, f[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        if len(f) == 1:
-            return np.full_like(f, np.nan)
-        h = len(f) // 2
-        return np.concatenate([_solve_rows(jac[:h], f[:h]), _solve_rows(jac[h:], f[h:])])
 
 
 # ---------------------------------------------------------------------------

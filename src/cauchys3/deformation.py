@@ -195,9 +195,10 @@ def deformation_report(points, tol: float = 1e-10) -> dict:
     isv = np.linalg.svd(image_matrix, compute_uv=False)
     image_rank = int(np.sum(isv > max(tol, 1e-12 * isv[0])))
 
-    # membership of every image in span{L_{e2}A0, L_{e3}A0}
+    # membership of every image in span{L_{e2}A0, L_{e3}A0}: the two share no
+    # nonzero entry and each has squared norm 128, so plane @ plane.T = 128 Id
     plane = np.stack([LIE_E2_A0.reshape(-1), LIE_E3_A0.reshape(-1)])
-    proj = plane.T @ np.linalg.solve(plane @ plane.T, plane)
+    proj = plane.T @ plane / 128.0
     span_err = max(
         float(np.max(np.abs(img - proj @ img))) for img in images
     )

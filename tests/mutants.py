@@ -1,15 +1,17 @@
-"""Mutation gate for the bit-level references: each mutant must fail its test file.
+"""Mutation gate for the bit-level references and the verdicts: each mutant must fail its test file.
 
 "Every output bit for bit" rests on references that recompute values in a
 written order: tests/test_cov_kernel.py, test_s2_batched.py,
-test_classify.py (the Hopf residual), test_polynomial.py and
-test_integrate_reference.py.  A reference that a
+test_classify.py (the Hopf residual and the grid oracle's Newton steps),
+test_polynomial.py and test_integrate_reference.py.  A verdict rests on
+inputs near its threshold (test_cli.py) or on an independent oracle
+(test_cauchy.py).  A reference that a
 later change rewrites could stop seeing what it was written to see.  So
-each mutant below changes one sum order, drops one term or flips one
-sign in a copy of src/, and the named test file, run to the end against
-the copy, must fail; the gate prints how many of its tests failed.  A
-source text that is not found exactly once fails the gate too, so a
-mutant cannot go stale silently.
+each mutant below changes one sum order, drops one term, flips one sign
+or loosens one gate in a copy of src/, and the named test file, run to
+the end against the copy, must fail; the gate prints how many of its
+tests failed.  A source text that is not found exactly once fails the
+gate too, so a mutant cannot go stale silently.
 
     python tests/mutants.py
 """
@@ -68,6 +70,12 @@ MUTANTS = [
         "r3 = 2.0 * (1.0 + f) - ((p22 * p33 - b23 * b23) - (d3[1] - d2[2]))",
         "test_classify.py",
     ),
+    (  # one cofactor sum of the grid oracle's Cramer step reassociated
+        "classify.py",
+        "(c12[k] * f0 + c20[k] * f1 + c01[k] * f2) / det",
+        "(c12[k] * f0 + (c20[k] * f1 + c01[k] * f2)) / det",
+        "test_classify.py",
+    ),
     (  # the polynomial's terms summed last to first
         "polynomial.py",
         "for k, cols, coefs in steps:",
@@ -79,6 +87,18 @@ MUTANTS = [
         "for w, (ka, kb) in zip(weights, slopes):",
         "for w, (ka, kb) in reversed(list(zip(weights, slopes))):",
         "test_integrate_reference.py",
+    ),
+    (  # the sign of definiteness_check flipped
+        "cauchy.py",
+        "return True, 1 if tr < 0 else -1",
+        "return True, 1 if tr > 0 else -1",
+        "test_cauchy.py",
+    ),
+    (  # verify's gate loosened a thousandfold
+        "cli.py",
+        "passed = max_res < config.tolerance",
+        "passed = max_res < 1e3 * config.tolerance",
+        "test_cli.py",
     ),
 ]
 

@@ -334,6 +334,33 @@ def test_definiteness_check():
     assert not ok and sign is None
 
 
+def _definiteness_by_eigenvalues(B):
+    """Oracle: the eigenvalues of B, their pair-product sum and the shifted eigenvalues."""
+    lam = np.linalg.eigvalsh(B)
+    if lam[0] * lam[1] + lam[0] * lam[2] + lam[1] * lam[2] <= 0:
+        return False, None
+    shifted = lam - lam.sum()
+    return True, 1 if np.all(shifted > 0) else -1
+
+
+def test_definiteness_check_matches_eigenvalue_oracle():
+    rng = np.random.default_rng(20211)
+    signs = set()
+    for _ in range(500):
+        m = rng.normal(size=(3, 3))
+        B = m + m.T
+        expected = _definiteness_by_eigenvalues(B)
+        assert definiteness_check(B) == expected
+        signs.add(expected[1])
+    assert signs == {None, 1, -1}  # every branch was drawn
+
+
+@pytest.mark.parametrize("B", [np.eye(2), np.eye(4)])
+def test_definiteness_check_rejects_non_3x3(B):
+    with pytest.raises(ValueError):
+        definiteness_check(B)
+
+
 def test_evaluation_is_order_independent(pts500, rng):
     # pointwise purity: permuting the sample permutes the residuals
     A = right_family_left_frame()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -58,37 +60,37 @@ def test_constant_frame_solutions_bruteforce_oracle():
 def _newton_seed_loop(grid, span):
     """Reference oracle: one Newton loop per seed, on Python floats.
 
-    Returns every seed's final iterate, its converged flag and how often
-    the 3x3 solve raised LinAlgError.
+    Each 3x3 step is Cramer's rule written out per seed: x_k =
+    (c12_k f0 + c20_k f1 + c01_k f2) / det, with c_ij the cross product of
+    Jacobian rows i and j and det = r0 . c12, every sum left to right.
+    Returns every seed's final iterate, its converged flag and how many
+    seeds stopped at det == 0.
     """
     from itertools import product
 
-    def residual(a, b, c):
-        return np.array(
-            [(a + 1) * (b + 1) - 2 * (c + 1), (b + 1) * (c + 1) - 2 * (a + 1), (a + 1) * (c + 1) - 2 * (b + 1)]
-        )
-
-    def jacobian(a, b, c):
-        return np.array([[b + 1, a + 1, -2.0], [-2.0, c + 1, b + 1], [c + 1, -2.0, a + 1]])
+    def cross(u, w):
+        return (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0])
 
     finals, flags, singular = [], [], 0
     for seed in product(np.linspace(-span, span, grid), repeat=3):
-        v = np.array(seed, dtype=float)
+        v = [float(x) for x in seed]
         ok = False
         for _ in range(60):
-            a, b, c = (float(x) for x in v)
-            f = residual(a, b, c)
-            if np.max(np.abs(f)) < 1e-12:
+            a, b, c = v[0] + 1, v[1] + 1, v[2] + 1
+            f = (a * b - 2 * c, b * c - 2 * a, a * c - 2 * b)
+            if max(abs(x) for x in f) < 1e-12:
                 ok = True
                 break
-            try:
-                step = np.linalg.solve(jacobian(a, b, c), f)
-            except np.linalg.LinAlgError:
+            r0, r1, r2 = (b, a, -2.0), (-2.0, c, b), (c, -2.0, a)
+            c12, c20, c01 = cross(r1, r2), cross(r2, r0), cross(r0, r1)
+            det = r0[0] * c12[0] + r0[1] * c12[1] + r0[2] * c12[2]
+            if det == 0:
                 singular += 1
                 break
-            if not np.all(np.isfinite(step)) or np.max(np.abs(step)) > 1e3:
+            step = [(c12[k] * f[0] + c20[k] * f[1] + c01[k] * f[2]) / det for k in range(3)]
+            if not all(math.isfinite(x) for x in step) or max(abs(x) for x in step) > 1e3:
                 break
-            v = v - step
+            v = [x - s for x, s in zip(v, step)]
         finals.append(v)
         flags.append(ok)
     return np.array(finals), np.array(flags), singular
@@ -103,7 +105,7 @@ def test_batched_newton_matches_seed_loop(grid, span):
     assert np.array_equal(v, ref_v)
     ref_roots = {tuple(np.round(r, 9) + 0.0) for r in ref_v[ref_ok]}
     assert constant_frame_solutions_bruteforce(grid, span) == ref_roots
-    assert singular > 0  # so the batch's fallback for singular Jacobians runs
+    assert singular > 0  # so the det == 0 path of the batch runs
 
 
 @pytest.mark.parametrize("grid, span", [(0, 6.0), (13, float("nan")), (13, 0.0)])

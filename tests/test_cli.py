@@ -49,6 +49,15 @@ def test_verify_expr_failure_reports_residual():
     assert doc["flatness_max"] == pytest.approx(3.0 * np.sqrt(2.0), rel=1e-12)
 
 
+def test_verify_fails_just_above_tolerance():
+    # a near-threshold negative: 2.83e-9 fails --tol 1e-10, where a looser gate would pass it
+    code, out = run_cli(["--samples", "50", "--tol", "1e-10", "verify", "--expr", "diag(1.000000001,-3,-3)"])
+    assert code == EXIT_TOLERANCE
+    doc = json.loads(out)
+    assert doc["pass"] is False
+    assert doc["flatness_max"] == pytest.approx(2.83e-9, rel=1e-2)
+
+
 def test_verify_parse_error_exit_code(capsys):
     code = main(["verify", "--expr", "diag(2,,2)"])
     assert code == EXIT_INPUT
