@@ -73,10 +73,8 @@ from .frame import (
     Chirality,
     ScalarField,
     UnitQuaternion,
-    directional_derivative,
     flow,
     harmonic_quadratic,
-    hopf_project,
     invariant_vector,
     quat_mul,
     random_points,
@@ -85,13 +83,10 @@ from .polynomial import Poly
 from .tensor import (
     BergerParams,
     curvature_berger,
-    curvature_round,
     d_nabla_A,
     divergence_A,
     hat,
     hodge_star,
-    levi_civita_berger,
-    levi_civita_round,
     unhat,
     wedge_endo,
 )

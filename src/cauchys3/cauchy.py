@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frame import Chirality, ScalarField, _as_array, frame_jet
+from .frame import Chirality, ScalarField, _as_array, _check_frame_index, frame_jet
 from .polynomial import evaluate
 from .tensor import cov_components, cov_entries, cross_components, divergence_components, dot_components
 from .tensor import stack_components, structure_constant, trace_components, wedge_endo
@@ -166,6 +166,7 @@ class VectorField3:
 
     @classmethod
     def frame_vector(cls, k: int, chirality: Chirality = Chirality.LEFT) -> "VectorField3":
+        _check_frame_index(k)
         return cls([1.0 if i == k - 1 else 0.0 for i in range(3)], chirality)
 
     def values(self, points) -> np.ndarray:
@@ -250,7 +251,10 @@ def known_example(kind: str, rotation=None) -> SymEnd3Field:
 
 
 def _frame_directions(x, y, pair):
+    if (x is None, y is None) != (pair is not None, pair is not None):
+        raise ValueError("pass exactly one of pair and (x, y)")
     if pair is not None:
+        _check_frame_index(*pair)
         x = np.eye(3)[pair[0] - 1]
         y = np.eye(3)[pair[1] - 1]
     return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -278,6 +282,7 @@ def _apply(m, x) -> list:
 
 def modified_connection(A: SymEnd3Field, points, a: int, b: int) -> np.ndarray:
     """nabla^A_{e_a} e_b = nabla_{e_a} e_b + (*A(e_a))(e_b), frame coefficients."""
+    _check_frame_index(a, b)
     m = A.entry_values(points)
     eb = [float(i == b - 1) for i in range(3)]  # a constant field: its derivatives vanish
     return stack_components(cov_components(eb, (0.0, 0.0, 0.0), a, A.chirality, m[a - 1 :: 3]))

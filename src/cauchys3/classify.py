@@ -39,7 +39,6 @@ __all__ = [
     "random_s2_points",
     "tangent_basis",
     "S2EndField",
-    "s2_identity_field",
     "s2_rigidity_residual",
     "codazzi_divfree_equiv",
 ]
@@ -422,10 +421,6 @@ def _delta_endo_s2(proj, dprojs, frame, Uv, derivs):
     """delta-bar U = -sum_i (nabla-bar_{f_i} U)(f_i), ambient tangent vector."""
     a, b = (_covariant_endo(proj, dproj, f, dU, Uv) for dproj, f, dU in zip(dprojs, frame, derivs))
     return (-(a[0] + b[0]), -(a[1] + b[1]), -(a[2] + b[2]))
-
-
-def s2_identity_field() -> S2EndField:
-    return S2EndField.from_constant(np.eye(3))
 
 
 def s2_rigidity_residual(U: S2EndField, p) -> tuple:

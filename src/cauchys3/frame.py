@@ -22,13 +22,10 @@ __all__ = [
     "UnitQuaternion",
     "ScalarField",
     "quat_mul",
-    "quat_conj",
     "quat_exp_imag",
     "invariant_vector",
     "flow",
-    "directional_derivative",
     "frame_jet",
-    "hopf_project",
     "harmonic_quadratic",
     "random_points",
     "coordinate_field",
@@ -62,9 +59,11 @@ def quat_mul(p, q):
     )
 
 
-def quat_conj(q):
-    q = np.asarray(q, dtype=float)
-    return q * np.array([1.0, -1.0, -1.0, -1.0])
+def _check_frame_index(*ks) -> None:
+    """ValueError unless every k is 1, 2 or 3."""
+    for k in ks:
+        if k not in (1, 2, 3):
+            raise ValueError(f"frame index must be 1, 2 or 3, got {k!r}")
 
 
 # imaginary units i, j, k as ambient 4-vectors, indexed 1..3
@@ -77,6 +76,7 @@ _IM = {
 
 def quat_exp_imag(k: int, s):
     """exp(s u_k) = cos(s) + u_k sin(s) for the imaginary unit u_k."""
+    _check_frame_index(k)
     s = np.asarray(s, dtype=float)
     out = np.zeros(s.shape + (4,))
     out[..., 0] = np.cos(s)
@@ -124,6 +124,7 @@ def invariant_vector(q, k: int, chirality: Chirality = Chirality.LEFT) -> np.nda
 
     Left: q*u_k.  Right: u_k*q.  Unit length and orthogonal to q.
     """
+    _check_frame_index(k)
     qa = _as_array(q)
     u = _IM[k]
     if chirality is Chirality.LEFT:
@@ -240,6 +241,7 @@ class ScalarField:
         cached = self._dcache.get(key)
         if cached is not None:
             return cached
+        _check_frame_index(k)
         if self.poly is not None:
             out = ScalarField(poly=self.poly.derive_along_linear(FRAME_MATRICES[(chirality, k)]))
         else:
@@ -293,36 +295,9 @@ def frame_jet(fields, points, chirality: Chirality = Chirality.LEFT) -> list:
     return out
 
 
-def directional_derivative(f: ScalarField, q, word, chirality: Chirality = Chirality.LEFT):
-    """Iterated frame derivative e_{k1} e_{k2} ... f evaluated at q.
-
-    word is a sequence of indices in {1,2,3}; the leftmost index is the
-    outermost derivative.  Finite-difference mode accepts words of
-    length at most 2.
-    """
-    word = list(word)
-    if f.poly is None and len(word) + f._fd_depth > 2:
-        raise ValueError("finite-difference mode supports words of length <= 2")
-    g = f
-    for k in reversed(word):
-        g = g.frame_derivative(k, chirality)
-    return g(q)
-
-
 def coordinate_field(m: int) -> ScalarField:
     """The ambient coordinate a_m (m = 1..4) restricted to S^3, exact mode."""
     return ScalarField(poly=Poly.coordinate(m - 1, 4))
-
-
-def hopf_project(q) -> np.ndarray:
-    """Hopf projection q -> (1/2) q i conj(q), returned as its (i,j,k) part.
-
-    The image lies on the 2-sphere of radius 1/2; the real part is zero.
-    Invariant under q -> q*exp(i theta).
-    """
-    qa = _as_array(q)
-    prod = quat_mul(quat_mul(qa, _IM[1]), quat_conj(qa))
-    return 0.5 * prod[..., 1:]
 
 
 def harmonic_quadratic(k: int) -> ScalarField:

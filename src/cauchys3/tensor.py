@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import Chirality
+from .frame import Chirality, _check_frame_index
 
 __all__ = [
     "hat",
@@ -39,10 +39,7 @@ __all__ = [
     "hodge_star",
     "structure_constant",
     "gamma_round",
-    "levi_civita_round",
-    "curvature_round",
     "BergerParams",
-    "levi_civita_berger",
     "gamma_berger",
     "gamma_berger_orthonormal",
     "curvature_berger",
@@ -114,25 +111,8 @@ def gamma_round(a: int, chirality: Chirality = Chirality.LEFT) -> np.ndarray:
     """Matrix of nabla_{e_a} on the frame: column k holds nabla_{e_a} e_k.
 
     A read-only view into a table built once at import; a must be 1, 2 or 3."""
-    if a not in (1, 2, 3):
-        raise ValueError(f"frame index must be 1, 2 or 3, got {a!r}")
+    _check_frame_index(a)
     return _GAMMA_ROUND[chirality][a - 1]
-
-
-def levi_civita_round(a: int, b: int, chirality: Chirality = Chirality.LEFT) -> np.ndarray:
-    """nabla_{e_a} e_b for the round metric, as frame coefficients.
-
-    Left frame: nabla_{e_1} e_2 = e_3, nabla_{e_2} e_1 = -e_3, diagonal
-    entries zero, and cyclic images thereof.
-    """
-    if b not in (1, 2, 3):
-        raise ValueError(f"frame index must be 1, 2 or 3, got {b!r}")
-    return gamma_round(a, chirality)[:, b - 1].copy()
-
-
-def curvature_round(x, y) -> np.ndarray:
-    """R(X,Y) = -X ^ Y on the round sphere, as a dual vector."""
-    return -wedge_endo(x, y)
 
 
 @dataclass(frozen=True)
@@ -165,13 +145,6 @@ def gamma_berger(p: BergerParams) -> list[np.ndarray]:
     return [g1, g2, g3]
 
 
-def levi_civita_berger(p: BergerParams, a: int, b: int) -> np.ndarray:
-    """nabla^t_{e_a} e_b in the Hopf frame (unnormalized e_2, e_3)."""
-    if a not in (1, 2, 3) or b not in (1, 2, 3):
-        raise ValueError(f"frame index must be 1, 2 or 3, got {(a, b)}")
-    return gamma_berger(p)[a - 1][:, b - 1].copy()
-
-
 def gamma_berger_orthonormal(p: BergerParams) -> list[np.ndarray]:
     """Connection matrices in the g_t-orthonormal frame (e_1/a, e_2/b, e_3/b).
 
@@ -199,26 +172,18 @@ def curvature_berger(p: BergerParams, a: int, b: int):
     raise ValueError("expected a frame pair from {1,2,3}")
 
 
-def d_nabla_A(A, points, x, y, connection="round", berger: BergerParams | None = None):
-    """Twisted exterior derivative (d^nabla A)(X, Y) = (nabla_X A)Y - (nabla_Y A)X.
+def d_nabla_A(A, points, x, y):
+    """Twisted exterior derivative (d^nabla A)(X, Y) = (nabla_X A)Y - (nabla_Y A)X, round metric.
 
     A must expose `matrix(points) -> (...,3,3)` and
     `frame_derivative_matrix(k, points) -> (...,3,3)` (coefficients in
     its own invariant frame); X, Y are constant frame coefficient
-    vectors.  With connection="berger", the Hopf-frame table for the
-    given BergerParams is used and A's chirality must be left.
+    vectors.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     M = A.matrix(points)
-    if connection == "round":
-        gammas = [gamma_round(k, A.chirality) for k in (1, 2, 3)]
-    elif connection == "berger":
-        if berger is None:
-            raise ValueError("berger connection requires BergerParams")
-        gammas = gamma_berger(berger)
-    else:
-        raise ValueError("connection must be 'round' or 'berger'")
+    gammas = _GAMMA_ROUND[A.chirality]
 
     def cov(direction):
         # nabla_{e_dir} A  as a matrix: dA + [Gamma, A]

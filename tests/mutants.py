@@ -5,7 +5,7 @@ written order: tests/test_cov_kernel.py, test_s2_batched.py,
 test_classify.py (the Hopf residual and the grid oracle's Newton steps),
 test_polynomial.py and test_integrate_reference.py.  A verdict rests on
 inputs near its threshold (test_cli.py) or on an independent oracle
-(test_cauchy.py).  A reference that a
+(test_cauchy.py, test_deformation.py).  A reference that a
 later change rewrites could stop seeing what it was written to see.  So
 each mutant below changes one sum order, drops one term, flips one sign
 or loosens one gate in a copy of src/, and the named test file, run to
@@ -99,6 +99,18 @@ MUTANTS = [
         "passed = max_res < config.tolerance",
         "passed = max_res < 1e3 * config.tolerance",
         "test_cli.py",
+    ),
+    (  # rigidity's Codazzi gate loosened a thousandfold
+        "cli.py",
+        "and equiv_max < 1e-6",
+        "and equiv_max < 1e-3",
+        "test_cli.py",
+    ),
+    (  # the e3e3 identity of the V_8 lemma replaced by the e2e2 one, which also vanishes there
+        "deformation.py",
+        "dd(3, 3) + 4.0 * qv",
+        "dd(2, 2) + 4.0 * qv",
+        "test_deformation.py",
     ),
 ]
 

@@ -19,7 +19,7 @@ from cauchys3.cauchy import (
 from cauchys3.deformation import A0, DeformVector, deformation_field
 from cauchys3.exprspec import parse_field_spec
 from cauchys3.frame import Chirality, ScalarField, frame_jet, harmonic_quadratic, random_points
-from cauchys3.tensor import hodge_star, levi_civita_round, wedge_endo
+from cauchys3.tensor import gamma_round, hodge_star, wedge_endo
 
 E1, E2, E3 = np.eye(3)
 
@@ -148,7 +148,7 @@ def test_modified_connection(pts500):
     for a in (1, 2, 3):
         for b in (1, 2, 3):
             got = modified_connection(zero, pts, a, b)
-            assert np.max(np.abs(got - levi_civita_round(a, b))) < 1e-15
+            assert np.max(np.abs(got - gamma_round(a)[:, b - 1])) < 1e-15
     ident = SymEnd3Field.identity()
     got = modified_connection(ident, pts, 1, 2)
     assert np.max(np.abs(got - 2 * E3)) < 1e-15
@@ -216,17 +216,17 @@ def test_linearized_residual_fd_with_varying_coefficients(pts500):
 def test_flatness_matches_d_nabla_assembly(pts500, rng):
     # coherence of the two public code paths: R + *(d^nabla A) + A^A
     # assembled from tensor.d_nabla_A equals flatness_residual
-    from cauchys3.tensor import curvature_round, d_nabla_A
+    from cauchys3.tensor import d_nabla_A
 
     A = right_family_left_frame()
     pts = pts500[:30]
     M = A.matrix(pts)
     for _ in range(5):
         x, y = rng.normal(size=(2, 3))
-        d = d_nabla_A(A, pts, x, y, connection="round")
+        d = d_nabla_A(A, pts, x, y)
         ax = np.einsum("...ij,j->...i", M, x)
         ay = np.einsum("...ij,j->...i", M, y)
-        assembled = curvature_round(x, y) + d + np.cross(ax, ay)
+        assembled = -np.cross(x, y) + d + np.cross(ax, ay)  # R(X,Y) = -X ^ Y
         direct = flatness_residual(A, pts, x=x, y=y)
         assert np.max(np.abs(assembled - direct)) < 1e-12
 

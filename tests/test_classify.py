@@ -20,7 +20,6 @@ from cauchys3.classify import (
     hopf_reduce,
     hopf_reduction_residual,
     random_s2_points,
-    s2_identity_field,
     s2_rigidity_residual,
     special_case_residual,
     tangent_basis,
@@ -152,12 +151,12 @@ def test_cyclic_system_equals_unfactored_form(rng):
 def test_submersion_vertical_part_identity():
     # nabla_U V = nabla-bar_U V + g(V, J U) xi for horizontal frame fields:
     # the vertical parts of the round table match g(V, J U)
-    from cauchys3.tensor import levi_civita_round
+    from cauchys3.tensor import gamma_round
 
     jmat = np.array([[0.0, -1.0], [1.0, 0.0]])  # J on (e2, e3)
     for i, u in ((2, 0), (3, 1)):
         for j, v in ((2, 0), (3, 1)):
-            vert = levi_civita_round(i, j)[0]
+            vert = gamma_round(i)[0, j - 1]
             ju = jmat @ np.eye(2)[u]
             assert vert == ju @ np.eye(2)[v]
 
@@ -553,7 +552,7 @@ def test_codazzi_equivalence_identity_parallel():
 
 def test_s2_identity_field_values():
     pts = random_s2_points(10, seed=2)
-    U = s2_identity_field()
+    U = S2EndField.from_constant(np.eye(3))
     for p in pts:
         val = U.value(p)
         x, jx = tangent_basis(p)

@@ -508,6 +508,18 @@ def test_rigidity():
     assert 5.0 < doc["scaling_ratio_div"] < 20.0
 
 
+@pytest.mark.parametrize(
+    "fd_step,code,equiv_max", [("1e-3", EXIT_TOLERANCE, 2.30e-6), ("5e-4", EXIT_PASS, 5.76e-7)]
+)
+def test_rigidity_codazzi_gate_near_threshold(fd_step, code, equiv_max):
+    # the FD Codazzi equivalence straddles its 1e-6 gate: a looser gate would pass the 1e-3 run
+    got, out = run_cli(["--fd-step", fd_step, "rigidity"])
+    doc = json.loads(out)
+    assert doc["codazzi_equivalence_max"] == pytest.approx(equiv_max, rel=1e-2)
+    assert got == code
+    assert doc["pass"] is (code == EXIT_PASS)
+
+
 def test_json_byte_identical_between_runs():
     _, out1 = run_cli(["--seed", "9", "--samples", "120", "verify", "--builtin", "right-133"])
     _, out2 = run_cli(["--seed", "9", "--samples", "120", "verify", "--builtin", "right-133"])

@@ -1,5 +1,6 @@
 import numpy as np
 
+from cauchys3 import deformation
 from cauchys3.cauchy import SymEnd3Field, VectorField3, symmetry_residual
 from cauchys3.deformation import (
     A0,
@@ -16,7 +17,15 @@ from cauchys3.deformation import (
     nabla_A0_of_deformation,
     round_laplacian,
 )
-from cauchys3.frame import Chirality, ScalarField, coordinate_field, harmonic_quadratic, random_points
+from cauchys3.frame import (
+    Chirality,
+    ScalarField,
+    coordinate_field,
+    harmonic_quadratic,
+    invariant_vector,
+    random_points,
+)
+from cauchys3.polynomial import Poly
 
 
 def test_berger_laplacian_eigenvalue_8(pts200):
@@ -44,6 +53,27 @@ def test_lemma_derivative_identities(pts200):
     for k in (1, 2, 3):
         res = lemma_derivative_checks(k, pts200)
         assert np.max(np.abs(res)) < 1e-10
+
+
+def test_lemma_derivative_columns_outside_v8(pts200, monkeypatch):
+    # a negative control: on V_8 all four identities vanish, so one standing in
+    # for another goes unseen; on f = a2^2 each column must be its own identity
+    a2 = Poly.coordinate(1, 4)
+    monkeypatch.setattr(deformation, "harmonic_quadratic", lambda k: ScalarField(poly=a2 * a2))
+    q = pts200
+
+    def dd(i, j):
+        # e_i e_j f = 2 (e_i a2)(e_j a2) + 2 a2 (e_i e_j a2), with e_j a2 = (q u_j)_2 and e_i e_j a2 = (q u_i u_j)_2
+        qi, qj = invariant_vector(q, i)[:, 1], invariant_vector(q, j)[:, 1]
+        return 2.0 * qi * qj + 2.0 * q[:, 1] * invariant_vector(invariant_vector(q, i), j)[:, 1]
+
+    f = q[:, 1] ** 2
+    expect = [dd(2, 3), dd(3, 2), dd(2, 2) + 4.0 * f, dd(3, 3) + 4.0 * f]
+    # the columns a swap would confuse differ here
+    assert np.min([np.max(np.abs(expect[0] - expect[1])), np.max(np.abs(expect[2] - expect[3]))]) > 1.0
+    res = lemma_derivative_checks(1, pts200)
+    for col in range(4):
+        assert np.max(np.abs(res[:, col] - expect[col])) < 1e-12
 
 
 def _laplacian_field(f: ScalarField, weights=(1.0, 1.0, 1.0)) -> ScalarField:

@@ -8,10 +8,8 @@ from cauchys3.frame import (
     ScalarField,
     UnitQuaternion,
     coordinate_field,
-    directional_derivative,
     flow,
     harmonic_quadratic,
-    hopf_project,
     invariant_vector,
     quat_mul,
     random_points,
@@ -21,6 +19,17 @@ I = np.array([0.0, 1, 0, 0])
 J = np.array([0.0, 0, 1, 0])
 K = np.array([0.0, 0, 0, 1])
 ONE = np.array([1.0, 0, 0, 0])
+
+
+def hopf_project(q) -> np.ndarray:
+    """Hopf projection q -> (1/2) q i conj(q), returned as its (i,j,k) part.
+
+    The image lies on the 2-sphere of radius 1/2; the real part is zero.
+    Invariant under q -> q*exp(i theta).
+    """
+    q = np.asarray(q, dtype=float)
+    conj = q * np.array([1.0, -1.0, -1.0, -1.0])
+    return 0.5 * quat_mul(quat_mul(q, I), conj)[..., 1:]
 
 
 def test_quaternion_table():
@@ -100,12 +109,12 @@ def test_flow_examples():
 def test_directional_derivative_linear_coordinate(pts200):
     f = coordinate_field(1)  # a1
     a2 = coordinate_field(2)(pts200)
-    val = directional_derivative(f, pts200, [1], Chirality.LEFT)
+    val = f.frame_derivative(1, Chirality.LEFT)(pts200)
     assert np.max(np.abs(val + a2)) < 1e-14
 
     const = ScalarField.constant(3.5)
-    for word in ([1], [2, 3]):
-        assert np.max(np.abs(directional_derivative(const, pts200, word))) == 0.0
+    for d in (const.frame_derivative(1), const.frame_derivative(3).frame_derivative(2)):
+        assert np.max(np.abs(d(pts200))) == 0.0
 
 
 # Nested central second differences have a float64 roundoff floor of
@@ -117,10 +126,9 @@ def test_bracket_identity_left(pts200, mode, tol):
     poly = harmonic_quadratic(2)
     f = poly if mode == "exact" else ScalarField.from_callable(poly, fd_step=1e-5)
     for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        lhs = directional_derivative(f, pts200, [a, b]) - directional_derivative(
-            f, pts200, [b, a]
-        )
-        rhs = 2.0 * directional_derivative(f, pts200, [c])
+        # e_a e_b f = e_a (e_b f)
+        lhs = f.frame_derivative(b).frame_derivative(a)(pts200) - f.frame_derivative(a).frame_derivative(b)(pts200)
+        rhs = 2.0 * f.frame_derivative(c)(pts200)
         assert np.max(np.abs(lhs - rhs)) < tol
 
 
@@ -129,11 +137,12 @@ def test_bracket_identity_right_measured(pts200, mode, tol):
     # measured structure constants of the right-invariant frame: the sign flips
     poly = harmonic_quadratic(3)
     f = poly if mode == "exact" else ScalarField.from_callable(poly, fd_step=1e-5)
+    R = Chirality.RIGHT
     for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        lhs = directional_derivative(f, pts200, [a, b], Chirality.RIGHT) - (
-            directional_derivative(f, pts200, [b, a], Chirality.RIGHT)
+        lhs = f.frame_derivative(b, R).frame_derivative(a, R)(pts200) - (
+            f.frame_derivative(a, R).frame_derivative(b, R)(pts200)
         )
-        rhs = -2.0 * directional_derivative(f, pts200, [c], Chirality.RIGHT)
+        rhs = -2.0 * f.frame_derivative(c, R)(pts200)
         assert np.max(np.abs(lhs - rhs)) < tol
 
 
@@ -152,9 +161,9 @@ def test_fd_second_order_convergence(pts50):
 
 def test_fd_word_length_limit(pts50):
     f = ScalarField.from_callable(lambda a: a[..., 0] ** 3, fd_step=1e-4)
-    directional_derivative(f, pts50, [1, 2])  # two is fine
-    with pytest.raises(ValueError):
-        directional_derivative(f, pts50, [1, 2, 3])
+    f.frame_derivative(2).frame_derivative(1)(pts50)  # two is fine
+    with pytest.raises(ValueError, match="at most two derivatives"):
+        f.frame_derivative(3).frame_derivative(2).frame_derivative(1)
 
 
 def test_hopf_projection(pts200, rng):
@@ -162,7 +171,7 @@ def test_hopf_projection(pts200, rng):
     # fiber invariance under q -> q e^{i theta}
     thetas = rng.uniform(0, 2 * np.pi, size=100)
     base = hopf_project(pts200[:100])
-    moved = hopf_project(flow(pts200[:100], 1, thetas, Chirality.LEFT))
+    moved = hopf_project(flow(pts200[:100], 1, thetas, Chirality.LEFT).q)
     assert np.max(np.abs(base - moved)) < 1e-12
     # radius 1/2
     assert np.max(np.abs(np.linalg.norm(base, axis=1) - 0.5)) < 1e-12
@@ -175,7 +184,7 @@ def test_harmonic_quadratics(pts200):
     assert harmonic_quadratic(1)(ONE) == 1.0
     assert harmonic_quadratic(2)(ONE) == 0.0
     for k in (1, 2, 3):
-        d = directional_derivative(harmonic_quadratic(k), pts200, [1])
+        d = harmonic_quadratic(k).frame_derivative(1)(pts200)
         assert np.max(np.abs(d)) < 1e-13
 
 

@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
 
-from cauchys3.cauchy import SymEnd3Field, right_family_left_frame
-from cauchys3.frame import Chirality, ScalarField, random_points
+from cauchys3.cauchy import (
+    SymEnd3Field,
+    VectorField3,
+    flatness_residual,
+    known_example,
+    linearized_residual,
+    modified_connection,
+    right_family_left_frame,
+)
+from cauchys3.frame import Chirality, ScalarField, coordinate_field, flow, invariant_vector, random_points
 from cauchys3.tensor import (
     BergerParams,
     curvature_berger,
-    curvature_round,
     d_nabla_A,
     divergence_A,
     gamma_berger,
@@ -14,8 +21,6 @@ from cauchys3.tensor import (
     gamma_round,
     hat,
     hodge_star,
-    levi_civita_berger,
-    levi_civita_round,
     unhat,
     wedge_endo,
 )
@@ -57,27 +62,52 @@ def test_hodge_star_identities(rng):
 
 @pytest.mark.parametrize("bad", [0, 4, -1])
 def test_frame_index_outside_one_to_three_is_rejected(bad):
+    # every entry point that reads a frame index, each index slot; without
+    # the check, 0 and -1 wrap to e_3 or give a zero vector and 4 a zero field
+    A, pts = known_example("left-133"), random_points(3, seed=4)
+    fd = ScalarField.from_callable(coordinate_field(1), fd_step=1e-4)
+    calls = [
+        lambda: modified_connection(A, pts, bad, 1),
+        lambda: modified_connection(A, pts, 1, bad),
+        lambda: flatness_residual(A, pts, pair=(bad, 2)),
+        lambda: flatness_residual(A, pts, pair=(1, bad)),
+        lambda: linearized_residual(A, A, pts, pair=(bad, 2)),
+        lambda: VectorField3.frame_vector(bad),
+        lambda: coordinate_field(1).frame_derivative(bad),
+        lambda: fd.frame_derivative(bad),
+    ]
     for chir in Chirality:
-        with pytest.raises(ValueError, match="frame index"):
-            gamma_round(bad, chir)
-        with pytest.raises(ValueError, match="frame index"):
-            levi_civita_round(bad, 1, chir)
-        with pytest.raises(ValueError, match="frame index"):
-            levi_civita_round(2, bad, chir)
-    for a, b in ((bad, 1), (2, bad)):
-        with pytest.raises(ValueError, match="frame index"):
-            levi_civita_berger(BergerParams(1.0, 2.0), a, b)
+        calls += [
+            lambda chir=chir: gamma_round(bad, chir),
+            lambda chir=chir: flow(pts, bad, 0.1, chir),
+            lambda chir=chir: invariant_vector(pts, bad, chir),
+        ]
+    for call in calls:
+        with pytest.raises(ValueError, match="frame index must be 1, 2 or 3"):
+            call()
     for a in (1, 2, 3):
         assert gamma_round(a).shape == (3, 3)
 
 
+@pytest.mark.parametrize("x,y,pair", [(E1, E2, (1, 2)), (None, None, None), (E1, None, None), (None, E2, (1, 2))])
+def test_frame_directions_need_exactly_one_of_pair_and_xy(x, y, pair):
+    A, pts = known_example("left-133"), random_points(3, seed=4)
+    for call in (
+        lambda: flatness_residual(A, pts, x=x, y=y, pair=pair),
+        lambda: linearized_residual(A, A, pts, x=x, y=y, pair=pair),
+    ):
+        with pytest.raises(ValueError, match="exactly one of pair"):
+            call()
+
+
 def test_levi_civita_round_table():
-    assert np.allclose(levi_civita_round(1, 2), E3)
-    assert np.allclose(levi_civita_round(2, 2), 0)
-    assert np.allclose(levi_civita_round(3, 1), E2)
-    assert np.allclose(levi_civita_round(2, 1), -E3)
+    # nabla_{e_a} e_b is column b - 1 of gamma_round(a)
+    assert np.allclose(gamma_round(1)[:, 1], E3)
+    assert np.allclose(gamma_round(2)[:, 1], 0)
+    assert np.allclose(gamma_round(3)[:, 0], E2)
+    assert np.allclose(gamma_round(2)[:, 0], -E3)
     # right frame: nabla_{e_a} e_b = (lambda/2)[e_a,e_b] with lambda = -2
-    assert np.allclose(levi_civita_round(1, 2, Chirality.RIGHT), -E3)
+    assert np.allclose(gamma_round(1, Chirality.RIGHT)[:, 1], -E3)
 
 
 def _round_curvature_bruteforce(x, y, lam=2.0):
@@ -89,6 +119,11 @@ def _round_curvature_bruteforce(x, y, lam=2.0):
 
     bracket = lam * np.cross(x, y)
     return gam(x) @ gam(y) - gam(y) @ gam(x) - gam(bracket)
+
+
+def curvature_round(x, y):
+    """R(X,Y) = -X ^ Y on the round sphere, as a dual vector (the curvature `cauchy._flatness` uses)."""
+    return -np.cross(x, y)
 
 
 def test_curvature_round(rng):
@@ -112,16 +147,18 @@ def test_curvature_round(rng):
 
 
 def test_levi_civita_berger_table():
-    p = BergerParams(1.0, 1.0)
-    assert np.allclose(levi_civita_berger(p, 1, 2), E3)  # reduces to the round table
+    # nabla^t_{e_a} e_b in the Hopf frame is column b - 1 of gamma_berger(p)[a - 1]
+    gam = gamma_berger(BergerParams(1.0, 1.0))
+    assert np.allclose(gam[0][:, 1], E3)  # reduces to the round table
     p = BergerParams(1.5, 0.8)
+    gam = gamma_berger(p)
     r = p.a**2 / p.b**2
-    assert np.allclose(levi_civita_berger(p, 1, 2), (2 - r) * E3)
-    assert np.allclose(levi_civita_berger(p, 2, 1), -r * E3)
-    assert np.allclose(levi_civita_berger(p, 3, 1), r * E2)
-    assert np.allclose(levi_civita_berger(p, 2, 3), E1)
+    assert np.allclose(gam[0][:, 1], (2 - r) * E3)
+    assert np.allclose(gam[1][:, 0], -r * E3)
+    assert np.allclose(gam[2][:, 0], r * E2)
+    assert np.allclose(gam[1][:, 2], E1)
     for a in (1, 2, 3):
-        assert np.allclose(levi_civita_berger(p, a, a), 0)
+        assert np.allclose(gam[a - 1][:, a - 1], 0)
 
 
 def test_berger_metric_compatibility():
@@ -180,26 +217,31 @@ def test_curvature_berger_printed_coefficients():
 def test_d_nabla_parallel_identity(pts50):
     A = SymEnd3Field.identity()
     for x, y in ((E1, E2), (E1, E3), (E2, E3)):
-        val = d_nabla_A(A, pts50, x, y, connection="round")
+        val = d_nabla_A(A, pts50, x, y)
         assert np.max(np.abs(val)) < 1e-14
 
 
 def test_d_nabla_berger_weingarten():
-    # A_t = diag(-adot/a, -bdot/b, -bdot/b); (d^nabla A_t)(e2,e3) = 2(adot/a - bdot/b) e1
+    # W = diag(-adot/a, -bdot/b, -bdot/b); (d^nabla W)(e2,e3) = 2(adot/a - bdot/b) e1
     a, b, adot, bdot = 0.9, 1.2, -0.5625, 2.75  # reduced system at (0.9, 1.2)
-    p = BergerParams(a, b)
-    At = SymEnd3Field.from_constant_matrix(
-        np.diag([-adot / a, -bdot / b, -bdot / b])
-    )
-    pts = random_points(4, seed=1)
-    val23 = d_nabla_A(At, pts, E2, E3, connection="berger", berger=p)
+    gam = gamma_berger(BergerParams(a, b))
+    W = np.diag([-adot / a, -bdot / b, -bdot / b])
+
+    def d_nabla(x, y):
+        # W is constant, so nabla_{e_k} W = [Gamma_k, W]; (nabla_X W)Y - (nabla_Y W)X
+        def cov(u):
+            return sum(u[k] * (gam[k] @ W - W @ gam[k]) for k in range(3))
+
+        return cov(x) @ y - cov(y) @ x
+
+    val23 = d_nabla(E2, E3)
     expect = 2 * (adot / a - bdot / b) * E1
     assert np.max(np.abs(val23 - expect)) < 1e-12
-    val12 = d_nabla_A(At, pts, E1, E2, connection="berger", berger=p)
+    val12 = d_nabla(E1, E2)
     expect12 = (a**2 / b**2) * (bdot / b - adot / a) * E3
     assert np.max(np.abs(val12 - expect12)) < 1e-12
     # antisymmetry
-    anti = d_nabla_A(At, pts, E3, E2, connection="berger", berger=p)
+    anti = d_nabla(E3, E2)
     assert np.max(np.abs(val23 + anti)) < 1e-14
 
 
