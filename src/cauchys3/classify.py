@@ -261,13 +261,14 @@ def _split(a, k: int = 1) -> list:
     """The components on the last k axes of a, nested k deep."""
     if a.ndim == k:
         return a.tolist()
-    return [_split(b, k - 1) if k > 1 else b for b in np.moveaxis(a, -k, 0)]
+    m = a.ndim - k  # the first of the last k axes, moved to the front
+    return [_split(b, k - 1) if k > 1 else b for b in a.transpose(m, *range(m), *range(m + 1, a.ndim))]
 
 
 def _join(components, k: int = 1) -> np.ndarray:
     """Components nested k deep back into an array, on its last k axes."""
     a = np.array(components)
-    return np.moveaxis(a, tuple(range(k)), tuple(range(-k, 0)))
+    return a if a.ndim == k else a.transpose(*range(k, a.ndim), *range(k))
 
 
 def _matrices(a, k: int = 1) -> list:
@@ -289,8 +290,24 @@ def _normalize(p):
 
 
 def _projector(q):
-    """P = I - q q^T."""
-    return tuple(float(i == j) - a * b for i, a in enumerate(q) for j, b in enumerate(q))
+    """P = I - q q^T; an off-diagonal entry is 0.0 - q_i q_j, so a zero product gives +0.0, not -0.0."""
+    q0, q1, q2 = q
+    return (
+        1.0 - q0 * q0, 0.0 - q0 * q1, 0.0 - q0 * q2,
+        0.0 - q1 * q0, 1.0 - q1 * q1, 0.0 - q1 * q2,
+        0.0 - q2 * q0, 0.0 - q2 * q1, 1.0 - q2 * q2,
+    )  # fmt: skip
+
+
+def _dprojector(x, p):
+    """D_x P = -x p^T - p x^T, entry ij as -x_i p_j - p_i x_j."""
+    x0, x1, x2 = x
+    p0, p1, p2 = p
+    return (
+        -x0 * p0 - p0 * x0, -x0 * p1 - p0 * x1, -x0 * p2 - p0 * x2,
+        -x1 * p0 - p1 * x0, -x1 * p1 - p1 * x1, -x1 * p2 - p1 * x2,
+        -x2 * p0 - p2 * x0, -x2 * p1 - p2 * x1, -x2 * p2 - p2 * x2,
+    )  # fmt: skip
 
 
 def _project(q, m):
@@ -307,7 +324,7 @@ def _frame(p) -> tuple:
     x = _normalize(cross_components(p, e_k))
     frame = (x, cross_components(p, x))
     proj = _projector(p)
-    dprojs = [tuple(-u * b - a * v for u, a in zip(f, p) for v, b in zip(f, p)) for f in frame]
+    dprojs = [_dprojector(f, p) for f in frame]
     return frame, proj, dprojs
 
 
@@ -377,7 +394,7 @@ class S2EndField:
         p = np.asarray(p, dtype=float)
         if self.mats is None:
             return np.asarray(self.func(p), dtype=float)
-        return np.stack(evaluate(self._entries, p), axis=-1).reshape(p.shape[:-1] + (3, 3))
+        return _join(evaluate(self._entries, p)).reshape(p.shape[:-1] + (3, 3))
 
     def value(self, p) -> np.ndarray:
         """Tangential value P M P at p (p need not be exactly unit)."""
@@ -390,7 +407,7 @@ class S2EndField:
         if self._grads is None:
             self._grads = [g for e in self._entries for g in e.gradient()]
         vals = np.array(evaluate(self._entries + self._grads, _join([p, n], 2)))
-        at_p, at_n = _split(np.moveaxis(vals, 0, -1), 2)
+        at_p, at_n = _split(vals.transpose(*range(1, vals.ndim), 0), 2)
         dMs = [tuple(dot_components(at_p[9 + 3 * e : 12 + 3 * e], x) for e in range(9)) for x in dirs]
         return at_p[:9], at_n[:9], dMs
 

@@ -334,6 +334,12 @@ def cmd_cylinder(args, config: RunConfig) -> tuple:
     return {"summary": summary, "rows": rows, "pass": bool(ok)}, EXIT_PASS if ok else EXIT_TOLERANCE
 
 
+def rigidity_verdict(worst_id: float, equiv_max: float, ratio_det: float, ratio_div: float) -> bool:
+    """`rigidity`'s gate: the +-Id residuals vanish, the Codazzi equivalence holds
+    to FD accuracy, and the residuals scale linearly (eps 1e-2 over 1e-3 near 10)."""
+    return worst_id < 1e-12 and equiv_max < 1e-6 and 5.0 < ratio_det < 20.0 and 5.0 < ratio_div < 20.0
+
+
 def cmd_rigidity(args, config: RunConfig) -> tuple:
     n = min(config.samples, 100)
     pts = cls.random_s2_points(n, seed=config.seed)
@@ -372,12 +378,7 @@ def cmd_rigidity(args, config: RunConfig) -> tuple:
     lhs, rhs = cls.codazzi_divfree_equiv(S, pts)
     equiv_max = float(np.max(np.abs(lhs - rhs)))
 
-    ok = (
-        worst_id < 1e-12
-        and equiv_max < 1e-6
-        and 5.0 < ratio_det < 20.0
-        and 5.0 < ratio_div < 20.0
-    )
+    ok = rigidity_verdict(worst_id, equiv_max, ratio_det, ratio_div)
     body = {
         "identity_rows": rows,
         "perturbation_rows": scaling,

@@ -4,14 +4,15 @@
 written order: tests/test_cov_kernel.py, test_s2_batched.py,
 test_classify.py (the Hopf residual and the grid oracle's Newton steps),
 test_polynomial.py and test_integrate_reference.py.  A verdict rests on
-inputs near its threshold (test_cli.py) or on an independent oracle
-(test_cauchy.py, test_deformation.py).  A reference that a
-later change rewrites could stop seeing what it was written to see.  So
-each mutant below changes one sum order, drops one term, flips one sign
-or loosens one gate in a copy of src/, and the named test file, run to
-the end against the copy, must fail; the gate prints how many of its
-tests failed.  A source text that is not found exactly once fails the
-gate too, so a mutant cannot go stale silently.
+inputs near its threshold or literal numbers at its bounds (test_cli.py)
+or on an independent oracle (test_cauchy.py, test_deformation.py).  A
+reference that a later change rewrites could stop seeing what it was
+written to see.  So each mutant below changes one sum order or factor,
+drops one term, flips one sign (a zero's too) or loosens one gate in a
+copy of src/, and the named test file, run to the end against the copy,
+must fail; the gate prints how many of its tests failed.  A source text
+that is not found exactly once fails the gate too, so a mutant cannot go
+stale silently.
 
     python tests/mutants.py
 """
@@ -70,6 +71,18 @@ MUTANTS = [
         "r3 = 2.0 * (1.0 + f) - ((p22 * p33 - b23 * b23) - (d3[1] - d2[2]))",
         "test_classify.py",
     ),
+    (  # an off-diagonal projector entry negated instead of subtracted from 0.0: a zero product gives -0.0
+        "classify.py",
+        "0.0 - q0 * q1",
+        "-q0 * q1",
+        "test_s2_batched.py",
+    ),
+    (  # x and p swapped in the first product of a D_xP entry, so it counts p x^T twice
+        "classify.py",
+        "-x0 * p1 - p0 * x1",
+        "-p0 * x1 - p0 * x1",
+        "test_s2_batched.py",
+    ),
     (  # one cofactor sum of the grid oracle's Cramer step reassociated
         "classify.py",
         "(c12[k] * f0 + c20[k] * f1 + c01[k] * f2) / det",
@@ -104,6 +117,18 @@ MUTANTS = [
         "cli.py",
         "and equiv_max < 1e-6",
         "and equiv_max < 1e-3",
+        "test_cli.py",
+    ),
+    (  # rigidity's +-Id gate loosened a millionfold
+        "cli.py",
+        "worst_id < 1e-12",
+        "worst_id < 1e-6",
+        "test_cli.py",
+    ),
+    (  # rigidity's scaling-ratio window widened from (5, 20) to (1, 200)
+        "cli.py",
+        "5.0 < ratio_det < 20.0",
+        "1.0 < ratio_det < 200.0",
         "test_cli.py",
     ),
     (  # the e3e3 identity of the V_8 lemma replaced by the e2e2 one, which also vanishes there

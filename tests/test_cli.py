@@ -21,6 +21,7 @@ from cauchys3.cli import (
     EXIT_TOLERANCE,
     canonical_json,
     main,
+    rigidity_verdict,
 )
 
 
@@ -518,6 +519,21 @@ def test_rigidity_codazzi_gate_near_threshold(fd_step, code, equiv_max):
     assert doc["codazzi_equivalence_max"] == pytest.approx(equiv_max, rel=1e-2)
     assert got == code
     assert doc["pass"] is (code == EXIT_PASS)
+
+
+def test_rigidity_verdict_just_inside_and_outside_each_bound():
+    # no CLI input lands near the +-Id or the scaling bounds, so the verdict is
+    # checked on literal numbers; the bounds are written here, not imported
+    inside = {"worst_id": 9.9e-13, "equiv_max": 9.9e-7, "ratio_det": 5.01, "ratio_div": 19.99}
+    assert rigidity_verdict(**inside)
+    assert rigidity_verdict(**dict(inside, ratio_det=19.99, ratio_div=5.01))
+    outside = [("worst_id", 1e-12), ("worst_id", 1.01e-12), ("equiv_max", 1e-6), ("equiv_max", 1.01e-6)]
+    for ratio in ("ratio_det", "ratio_div"):
+        outside += [(ratio, 5.0), (ratio, 4.99), (ratio, 20.0), (ratio, 20.01)]
+    for name in inside:
+        outside.append((name, float("nan")))
+    for name, value in outside:
+        assert rigidity_verdict(**dict(inside, **{name: value})) is False, (name, value)
 
 
 def test_json_byte_identical_between_runs():
