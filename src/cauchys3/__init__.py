@@ -72,7 +72,6 @@ from .deformation import (
 from .frame import (
     Chirality,
     ScalarField,
-    UnitQuaternion,
     flow,
     harmonic_quadratic,
     invariant_vector,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frame import Chirality, ScalarField, _as_array, _check_frame_index, frame_jet
+from .frame import Chirality, ScalarField, _check_frame_index, frame_jet
 from .polynomial import evaluate
 from .tensor import cov_components, cov_entries, cross_components, divergence_components, dot_components
 from .tensor import stack_components, structure_constant, trace_components, wedge_endo
@@ -119,21 +119,21 @@ class SymEnd3Field:
 
     def entry_values(self, points) -> tuple:
         """The row-major 9-tuple of the entries' values at points."""
-        return _full(_field_values(self._upper_fields(), _as_array(points)))
+        return _full(_field_values(self._upper_fields(), points))
 
     def matrix(self, points) -> np.ndarray:
         return stack_components(self.entry_values(points), 2)
 
     def frame_derivative_matrix(self, k: int, points) -> np.ndarray:
         """Entrywise e_k-derivative (same chirality as the frame)."""
-        return stack_components(_full(_field_values(self._upper_fields(k), _as_array(points))), 2)
+        return stack_components(_full(_field_values(self._upper_fields(k), points)), 2)
 
     def jet_components(self, points) -> list:
         """[m, dm_1, dm_2, dm_3]: the row-major 9-tuples of the entries and
         of their e_1, e_2, e_3-derivatives, from one `frame_jet` call (one
         power table for exact entries, one flow pair per direction for
         finite-difference ones)."""
-        return [_full(vals) for vals in frame_jet(self._upper_fields(), _as_array(points), self.chirality)]
+        return [_full(vals) for vals in frame_jet(self._upper_fields(), points, self.chirality)]
 
     # -- linear structure (for curves A + t Adot) ------------------------
     def _from_upper(self, fields) -> "SymEnd3Field":
@@ -170,8 +170,7 @@ class VectorField3:
         return cls([1.0 if i == k - 1 else 0.0 for i in range(3)], chirality)
 
     def values(self, points) -> np.ndarray:
-        pts = _as_array(points)
-        return np.stack(_field_values(self.components, pts), axis=-1)
+        return np.stack(_field_values(self.components, points), axis=-1)
 
 
 # -- known solution families -------------------------------------------
@@ -368,9 +367,8 @@ def linearized_residual(A: SymEnd3Field, Adot: SymEnd3Field, points, x=None, y=N
     if A.chirality is not Adot.chirality:
         raise ValueError("A and Adot must share a frame chirality")
     x, y = _frame_directions(x, y, pair)
-    pts = _as_array(points)
-    m = A.entry_values(pts)
-    n, *dn = Adot.jet_components(pts)
+    m = A.entry_values(points)
+    n, *dn = Adot.jet_components(points)
     nx, ny = _apply(n, x), _apply(n, y)
     terms = []
     for k in range(3):
@@ -405,11 +403,10 @@ def symmetry_residual(A: SymEnd3Field, X: VectorField3, points, B=None) -> np.nd
 
     Vanishes exactly when d^{nabla^A} X + B is a symmetric endomorphism.
     """
-    pts = _as_array(points)
-    x, *dx = frame_jet(X.components, pts, X.chirality)
-    res = _symmetry(A.entry_values(pts), x, dx, X.chirality)
+    x, *dx = frame_jet(X.components, points, X.chirality)
+    res = _symmetry(A.entry_values(points), x, dx, X.chirality)
     if B is not None:
-        Bm = B.matrix(pts) if hasattr(B, "matrix") else np.asarray(B, dtype=float)
+        Bm = B.matrix(points) if hasattr(B, "matrix") else np.asarray(B, dtype=float)
         for k in range(3):  # + e_k x B(e_k)
             res = [r + c for r, c in zip(res, cross_components(np.eye(3)[k], np.moveaxis(Bm[..., :, k], -1, 0)))]
     return stack_components(res)
@@ -422,9 +419,8 @@ def xi_operator(A: SymEnd3Field, X: VectorField3, points):
     scalar.  In the invariant frame the codifferential of a 1-form w is
     -sum_k e_k(w_k) (the frame is divergence-free).
     """
-    pts = _as_array(points)
-    m, *dm = A.jet_components(pts)
-    x, *dx = frame_jet(X.components, pts, X.chirality)
+    m, *dm = A.jet_components(points)
+    x, *dx = frame_jet(X.components, points, X.chirality)
     tr = trace_components(m)
     # W_k = x_k tr A - (A x)_k; e_k W_k by the product rule
     ew = [

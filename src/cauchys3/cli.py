@@ -24,9 +24,9 @@ U+0000-U+001F, backslash and quote escaped.
 
 Identical configurations (including the seed) produce byte-identical
 output.  Exit codes: 0 pass, 1 tolerance failure, 3 singularity reached
-when not requested, 2 input error: a bad value, an option the run would
-not read (`--probe-points` without `--probe-curvature`), or a stdout
-closed before the report is written.
+when not requested, 2 input error: a bad value, one too large for
+memory, an option the run would not read (`--probe-points` without
+`--probe-curvature`), or a stdout closed before the report is written.
 """
 
 from __future__ import annotations
@@ -228,6 +228,13 @@ def cmd_classify(args, config: RunConfig) -> tuple:
     return body, EXIT_PASS if ok else EXIT_TOLERANCE
 
 
+def deform_verdict(
+    solution_dim: int, image_dim: int, span_err: float, eig_err: float, lemma_err: float, tol: float
+) -> bool:
+    """`deform`'s gate: dimensions 5 and 2, and every error below the tolerance."""
+    return solution_dim == 5 and image_dim == 2 and span_err < tol and eig_err < tol and lemma_err < tol
+
+
 def cmd_deform(args, config: RunConfig) -> tuple:
     if config.samples < 2:  # one point samples each basis field as a vector of R^3: rank 3, never 5
         raise ValueError("needs --samples >= 2")
@@ -242,12 +249,9 @@ def cmd_deform(args, config: RunConfig) -> tuple:
             eig_err, float(np.max(np.abs(dfm.berger_laplacian(q, pts) - 8.0 * q(pts))))
         )
         lemma_err = max(lemma_err, float(np.max(np.abs(dfm.lemma_derivative_checks(k, pts)))))
-    ok = (
-        rep["solution_space_dim"] == 5
-        and rep["image_span_dim"] == 2
-        and rep["span_membership_error"] < config.tolerance
-        and eig_err < config.tolerance
-        and lemma_err < config.tolerance
+    ok = deform_verdict(
+        rep["solution_space_dim"], rep["image_span_dim"], rep["span_membership_error"],
+        eig_err, lemma_err, config.tolerance,
     )
     body = {
         "solution_space_dim": rep["solution_space_dim"],
@@ -271,6 +275,11 @@ def _parse_range(text: str) -> tuple:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"range bounds must be finite, got {text!r}")
     return lo, hi
+
+
+def cylinder_verdict(drift: float, slice_rel: float, ricci_rel: float) -> bool:
+    """`cylinder`'s gate, relative to the curvature scale so that it stays meaningful near the boundary."""
+    return drift < 1e-9 and slice_rel < 1e-9 and ricci_rel < 1e-8
 
 
 # an overflow anywhere in the probe or the export ends in FloatingPointError, not in warnings
@@ -329,8 +338,7 @@ def cmd_cylinder(args, config: RunConfig) -> tuple:
     }
     if profile.singularity and not args.to_singularity:
         return {"summary": summary, "rows": rows, "pass": False}, EXIT_SINGULARITY
-    # curvature-scale-relative gates stay meaningful near the boundary
-    ok = drift < 1e-9 and slice_rel < 1e-9 and ricci_rel < 1e-8
+    ok = cylinder_verdict(drift, slice_rel, ricci_rel)
     return {"summary": summary, "rows": rows, "pass": bool(ok)}, EXIT_PASS if ok else EXIT_TOLERANCE
 
 
@@ -449,6 +457,9 @@ def main(argv=None) -> int:
     except (OverflowError, FloatingPointError) as exc:
         what = {"verify": "field", "cylinder": "range"}.get(who, "input")
         print(f"{who}: {what} too large for floating point: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:  # numpy's failed allocation is one
+        print(f"{who}: input too large for memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
     report = {"schema": SCHEMA_VERSION, "command": args.command, "config": asdict(config), **body}
     try:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cauchy import SymEnd3Field, VectorField3
-from .frame import Chirality, ScalarField, _as_array, frame_jet, harmonic_quadratic
+from .frame import Chirality, ScalarField, frame_jet, harmonic_quadratic
 from .tensor import cov_components, cross_components, dot_components, stack_components, structure_constant
 
 __all__ = [
@@ -48,7 +48,7 @@ LIE_E3_A0[0, 1] = LIE_E3_A0[1, 0] = 8.0
 
 def _laplacian(f: ScalarField, points, weights) -> np.ndarray:
     """-(w_1 e1 e1 + w_2 e2 e2 + w_3 e3 e3) f in the left frame."""
-    pts = _as_array(points)
+    pts = np.asarray(points, dtype=float)
     out = np.zeros(pts.shape[:-1])
     for k, w in zip((1, 2, 3), weights):
         second = f.frame_derivative(k, Chirality.LEFT).frame_derivative(k, Chirality.LEFT)
@@ -73,12 +73,11 @@ def lemma_derivative_checks(k: int, points) -> np.ndarray:
     Returns the residuals (e2 e3 Q_k, e3 e2 Q_k, e2 e2 Q_k + 4 Q_k,
     e3 e3 Q_k + 4 Q_k), stacked along the last axis; all vanish on S^3.
     """
-    pts = _as_array(points)
     q = harmonic_quadratic(k)
-    qv = q(pts)
+    qv = q(points)
 
     def dd(i, j):
-        return q.frame_derivative(j, Chirality.LEFT).frame_derivative(i, Chirality.LEFT)(pts)
+        return q.frame_derivative(j, Chirality.LEFT).frame_derivative(i, Chirality.LEFT)(points)
 
     return np.stack(
         [dd(2, 3), dd(3, 2), dd(2, 2) + 4.0 * qv, dd(3, 3) + 4.0 * qv], axis=-1
@@ -130,10 +129,9 @@ def lie_derivative_endo(A: SymEnd3Field, Z: VectorField3, points) -> np.ndarray:
     """
     if A.chirality is not Z.chirality:
         raise ValueError("chirality mismatch")
-    pts = _as_array(points)
     lam = structure_constant(A.chirality)
-    m, *dm = A.jet_components(pts)
-    z, *dz = frame_jet(Z.components, pts, Z.chirality)
+    m, *dm = A.jet_components(points)
+    z, *dz = frame_jet(Z.components, points, Z.chirality)
     out = [None] * 9
     for col in range(3):
         w = m[col::3]  # A(e_col) coefficients
@@ -157,7 +155,7 @@ def nabla_A0_of_deformation(d: DeformVector, points) -> np.ndarray:
     matrix is symmetric with zero diagonal, zero (2,3)-entry, and
     constant entries (1,2) = -2 c3, (1,3) = 2 c2.
     """
-    return _nabla_A0(deformation_field(d), _as_array(points))[1]
+    return _nabla_A0(deformation_field(d), points)[1]
 
 
 def _nabla_A0(X: VectorField3, pts) -> tuple:
@@ -176,13 +174,12 @@ def deformation_report(points, tol: float = 1e-10) -> dict:
     (expected 2), and the worst deviation of nabla^{A0}X from the
     frozen pairing -1/4 (c2 L_{e2}A0 + c3 L_{e3}A0).
     """
-    pts = _as_array(points)
     basis = deformation_basis()
     rows = []
     images = []
     pairing_err = 0.0
     for d in basis:
-        vals, img = _nabla_A0(deformation_field(d), pts)
+        vals, img = _nabla_A0(deformation_field(d), points)
         rows.append(vals.reshape(-1))
         pred = -0.25 * (d.c2 * LIE_E2_A0 + d.c3 * LIE_E3_A0)
         pairing_err = max(pairing_err, float(np.max(np.abs(img - pred))))

@@ -11,7 +11,8 @@ coordinates a1..a4: numbers (decimal, with an optional exponent as in
 1e-3), + - *, unary minus, integer ^, and parentheses.  No general
 function calls.  An exponent above MAX_DEGREE, or a power or product
 of degree above it, is a ParseError, raised before it is expanded.  So
-is a number or a coefficient that is not finite (1e400, 1e200*1e200).
+is a number or a coefficient that is not finite (1e400, 1e200*1e200),
+and nesting deeper than the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -131,7 +132,10 @@ class _Parser:
 def parse_poly_expr(text: str) -> Poly:
     """Parse a single polynomial expression in a1..a4."""
     p = _Parser(_tokenize(text))
-    out = p.expr()
+    try:
+        out = p.expr()
+    except RecursionError:  # the parser recurses once per parenthesis or sign
+        raise ParseError("expression nested too deeply") from None
     if p.peek()[0] != "end":
         raise ParseError(f"trailing input after expression: {p.peek()[1]!r}")
     if not all(math.isfinite(c) for c in out.terms.values()):

@@ -1,12 +1,14 @@
 """Quaternion model of the round 3-sphere and its invariant frames.
 
-S^3 is the group of unit quaternions.  The left-invariant frame
-(e_1, e_2, e_3) consists of the fields q -> q*i, q*j, q*k; the
-right-invariant frame of q -> i*q, j*q, k*q.  Both are orthonormal for
-the round metric.  Scalar fields carry either an exact ambient
-polynomial (frame derivatives are then exact, to any order) or a plain
-callable differentiated by central finite differences along the
-one-parameter subgroup flows.
+S^3 is the group of unit quaternions; a point, or a batch of points, is
+a plain (..., 4) float array of ambient coordinates (a1, a2, a3, a4).
+The left-invariant frame (e_1, e_2, e_3) consists of the fields
+q -> q*i, q*j, q*k; the right-invariant frame of q -> i*q, j*q, k*q.
+Both are orthonormal for the round metric, so the flow of e_k through q
+is the great circle cos(s) q + sin(s) e_k(q).  Scalar fields carry
+either an exact ambient polynomial (frame derivatives are then exact,
+to any order) or a plain callable differentiated by central finite
+differences along those flows.
 """
 
 from __future__ import annotations
@@ -19,20 +21,15 @@ from .polynomial import Poly, evaluate
 
 __all__ = [
     "Chirality",
-    "UnitQuaternion",
     "ScalarField",
     "quat_mul",
-    "quat_exp_imag",
     "invariant_vector",
     "flow",
     "frame_jet",
     "harmonic_quadratic",
     "random_points",
     "coordinate_field",
-    "UNIT_TOL",
 ]
-
-UNIT_TOL = 1e-12
 
 
 class Chirality(enum.Enum):
@@ -74,44 +71,6 @@ _IM = {
 }
 
 
-def quat_exp_imag(k: int, s):
-    """exp(s u_k) = cos(s) + u_k sin(s) for the imaginary unit u_k."""
-    _check_frame_index(k)
-    s = np.asarray(s, dtype=float)
-    out = np.zeros(s.shape + (4,))
-    out[..., 0] = np.cos(s)
-    out[..., k] = np.sin(s)
-    return out
-
-
-class UnitQuaternion:
-    """A point of S^3 (or a batch of points, leading axes free).
-
-    Wraps an (...,4) array in ambient coordinates (a1,a2,a3,a4) and
-    enforces unit norm to within UNIT_TOL.
-    """
-
-    __slots__ = ("q",)
-
-    def __init__(self, q, normalize: bool = False):
-        q = np.array(q, dtype=float)
-        if q.shape[-1] != 4:
-            raise ValueError("expected last dimension 4")
-        if normalize:
-            q = q / np.linalg.norm(q, axis=-1, keepdims=True)
-        err = np.max(np.abs(np.sum(q * q, axis=-1) - 1.0))
-        if err > UNIT_TOL:
-            raise ValueError(f"not a unit quaternion (|norm^2 - 1| = {err:.3e})")
-        self.q = q
-
-    def __repr__(self):
-        return f"UnitQuaternion({self.q!r})"
-
-
-def _as_array(q):
-    return q.q if isinstance(q, UnitQuaternion) else np.asarray(q, dtype=float)
-
-
 def random_points(n: int, seed: int = 0) -> np.ndarray:
     """n seeded uniform points on S^3: normalized standard Gaussians, (n,4)."""
     rng = np.random.default_rng(seed)
@@ -125,19 +84,18 @@ def invariant_vector(q, k: int, chirality: Chirality = Chirality.LEFT) -> np.nda
     Left: q*u_k.  Right: u_k*q.  Unit length and orthogonal to q.
     """
     _check_frame_index(k)
-    qa = _as_array(q)
     u = _IM[k]
     if chirality is Chirality.LEFT:
-        return quat_mul(qa, u)
-    return quat_mul(u, qa)
+        return quat_mul(q, u)
+    return quat_mul(u, q)
 
 
-def flow(q, k: int, s, chirality: Chirality = Chirality.LEFT) -> UnitQuaternion:
-    """Flow of the invariant field e_k for time s; renormalized."""
-    qa = _as_array(q)
-    g = quat_exp_imag(k, s)
-    prod = quat_mul(qa, g) if chirality is Chirality.LEFT else quat_mul(g, qa)
-    return UnitQuaternion(prod, normalize=True)
+def flow(q, k: int, s, chirality: Chirality = Chirality.LEFT) -> np.ndarray:
+    """Flow of the invariant field e_k for time s: the great circle
+    cos(s) q + sin(s) e_k(q), renormalized; s may be an array of times."""
+    q, s = np.asarray(q, dtype=float), np.asarray(s, dtype=float)[..., None]
+    prod = np.cos(s) * q + np.sin(s) * invariant_vector(q, k, chirality)
+    return prod / np.linalg.norm(prod, axis=-1, keepdims=True)
 
 
 # Ambient matrices of the linear maps q -> q*u_k (left frame) and
@@ -196,7 +154,7 @@ class ScalarField:
         return cls(poly=Poly.constant(value, 4))
 
     def __call__(self, points) -> np.ndarray:
-        pts = _as_array(points)
+        pts = np.asarray(points, dtype=float)
         if self.poly is not None:
             return self.poly(pts)
         return np.asarray(self.func(pts), dtype=float)
@@ -273,7 +231,7 @@ def frame_jet(fields, points, chirality: Chirality = Chirality.LEFT) -> list:
     difference that `ScalarField.frame_derivative` uses, so every array
     is bit-identical to evaluating the derivative field on its own.
     """
-    pts = _as_array(points)
+    pts = np.asarray(points, dtype=float)
     out = [[None] * len(fields) for _ in range(4)]
     exact = [i for i, f in enumerate(fields) if f.poly is not None]
     slots = [(k, i) for k in range(4) for i in exact]

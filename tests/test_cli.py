@@ -20,6 +20,8 @@ from cauchys3.cli import (
     EXIT_SINGULARITY,
     EXIT_TOLERANCE,
     canonical_json,
+    cylinder_verdict,
+    deform_verdict,
     main,
     rigidity_verdict,
 )
@@ -536,6 +538,31 @@ def test_rigidity_verdict_just_inside_and_outside_each_bound():
         assert rigidity_verdict(**dict(inside, **{name: value})) is False, (name, value)
 
 
+def test_deform_verdict_just_inside_and_outside_each_bound():
+    # the span and lemma errors are never the binding term of a CLI run, so the
+    # verdict is checked on literal numbers; the bounds are written here, not imported
+    inside = {"solution_dim": 5, "image_dim": 2, "span_err": 9.9e-11, "eig_err": 9.9e-11, "lemma_err": 9.9e-11}
+    assert deform_verdict(**inside, tol=1e-10)
+    outside = [("solution_dim", 4), ("solution_dim", 6), ("image_dim", 1), ("image_dim", 3)]
+    for err in ("span_err", "eig_err", "lemma_err"):
+        outside += [(err, 1e-10), (err, 1.01e-10), (err, float("nan"))]
+    for name, value in outside:
+        assert deform_verdict(**dict(inside, **{name: value}), tol=1e-10) is False, (name, value)
+    assert deform_verdict(**inside, tol=float("nan")) is False
+
+
+def test_cylinder_verdict_just_inside_and_outside_each_bound():
+    # the cylinder's drift and residuals stay far below their bounds by construction
+    inside = {"drift": 9.9e-10, "slice_rel": 9.9e-10, "ricci_rel": 9.9e-9}
+    assert cylinder_verdict(**inside)
+    outside = [("drift", 1e-9), ("drift", 1.01e-9), ("slice_rel", 1e-9), ("slice_rel", 1.01e-9)]
+    outside += [("ricci_rel", 1e-8), ("ricci_rel", 1.01e-8)]
+    for name in inside:
+        outside.append((name, float("nan")))
+    for name, value in outside:
+        assert cylinder_verdict(**dict(inside, **{name: value})) is False, (name, value)
+
+
 def test_json_byte_identical_between_runs():
     _, out1 = run_cli(["--seed", "9", "--samples", "120", "verify", "--builtin", "right-133"])
     _, out2 = run_cli(["--seed", "9", "--samples", "120", "verify", "--builtin", "right-133"])
@@ -668,6 +695,25 @@ def test_verify_degree_above_bound_exits_input(power, capsys):
     assert code == EXIT_INPUT and out == ""
     err = capsys.readouterr().err
     assert err.startswith("verify: ") and "16" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", ["diag(" + "(" * 1000 + "1" + ")" * 1000 + ",1,1)", "diag(" + "-" * 1000 + "1,1,1)"])
+def test_verify_nesting_too_deep_exits_input(spec, capsys):
+    code, out = run_cli(["--samples", "20", "verify", "--expr", spec])
+    assert code == EXIT_INPUT and out == ""
+    err = capsys.readouterr().err
+    assert err == "verify: expression nested too deeply\n"
+
+
+def test_failed_allocation_exits_input(monkeypatch, capsys):
+    # a stand-in for numpy's failed allocation: a real one could fill the memory of a runner that overcommits
+    def refuse(n, seed=0):
+        raise MemoryError(f"Unable to allocate {32 * n} bytes")
+
+    monkeypatch.setattr("cauchys3.cli.random_points", refuse)
+    code, out = run_cli(["--samples", "100000000000", "verify", "--builtin", "plus-id"])
+    assert code == EXIT_INPUT and out == ""
+    assert capsys.readouterr().err == "verify: input too large for memory: Unable to allocate 3200000000000 bytes\n"
 
 
 def test_verify_degree_at_bound_runs():

@@ -94,3 +94,12 @@ def test_non_finite_coefficient_rejected(bad):
     with pytest.raises(ParseError, match="not finite"):
         parse_poly_expr(bad)
     assert parse_poly_expr("1e308*a1 + 1e-308").degree == 1  # large and tiny finite numbers stay
+
+
+@pytest.mark.parametrize("bad", ["(" * 1000 + "a1" + ")" * 1000, "-" * 1000 + "a1", "+" * 1000 + "a1"])
+def test_nesting_beyond_the_recursion_limit_rejected(bad):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_poly_expr(bad)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_field_spec(f"diag({bad},1,1)")
+    assert parse_poly_expr("(" * 100 + "-" * 100 + "a1" + ")" * 100).degree == 1  # shallow nesting stays

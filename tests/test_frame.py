@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from cauchys3.frame import (
     Chirality,
     ScalarField,
-    UnitQuaternion,
     coordinate_field,
     flow,
     harmonic_quadratic,
@@ -61,14 +60,6 @@ def test_quaternion_group_laws(p, q, r):
     assert np.allclose(quat_mul(p, conj), ONE, atol=1e-12)
 
 
-def test_unit_quaternion_validation():
-    UnitQuaternion(ONE)
-    with pytest.raises(ValueError):
-        UnitQuaternion(2 * ONE)
-    q = UnitQuaternion(2 * ONE, normalize=True)
-    assert np.allclose(q.q, ONE)
-
-
 def test_invariant_vector_values():
     assert np.allclose(invariant_vector(ONE, 1, Chirality.LEFT), I)
     # j * i = -k  (left field e_1 at q = j)
@@ -89,21 +80,61 @@ def test_invariant_vector_matches_flow_derivative(pts200):
     h = 1e-6
     for c in Chirality:
         for k in (1, 2, 3):
-            plus = flow(pts200, k, h, c).q
-            minus = flow(pts200, k, -h, c).q
+            plus = flow(pts200, k, h, c)
+            minus = flow(pts200, k, -h, c)
             fd = (plus - minus) / (2 * h)
             assert np.max(np.abs(fd - invariant_vector(pts200, k, c))) < 1e-9
 
 
 def test_flow_examples():
     got = flow(ONE, 1, np.pi / 2, Chirality.LEFT)
-    assert np.allclose(got.q, I, atol=1e-15)
+    assert np.allclose(got, I, atol=1e-15)
     q = random_points(5, seed=3)
-    assert np.allclose(flow(q, 2, 0.0, Chirality.LEFT).q, q)
+    assert np.allclose(flow(q, 2, 0.0, Chirality.LEFT), q)
     # group property
-    a = flow(flow(q, 3, 0.4), 3, 0.25).q
-    b = flow(q, 3, 0.65).q
+    a = flow(flow(q, 3, 0.4), 3, 0.25)
+    b = flow(q, 3, 0.65)
     assert np.max(np.abs(a - b)) < 1e-12
+
+
+def _hamilton(p, q):
+    """The Hamilton product p q of (..., 4) arrays, written out here."""
+    (a, b, c, d), (e, f, g, h) = np.moveaxis(p, -1, 0), np.moveaxis(q, -1, 0)
+    return np.stack([a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+                     a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e], axis=-1)
+
+
+def _flow_by_exponential(q, k, s, chirality):
+    """q exp(s u_k) (left) or exp(s u_k) q (right), renormalized."""
+    s = np.asarray(s, dtype=float)
+    g = np.zeros(s.shape + (4,))
+    g[..., 0], g[..., k] = np.cos(s), np.sin(s)
+    prod = _hamilton(q, g) if chirality is Chirality.LEFT else _hamilton(g, q)
+    return prod / np.linalg.norm(prod, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_flow_is_the_exponential_flow_bit_for_bit(seed):
+    # each coordinate of q exp(s u_k) has two nonzero products, q_i cos s and
+    # +-q_j sin s, and the sum of two floats does not depend on their order
+    q = random_points(500, seed=seed)
+    times = [1e-5, -1e-5, 0.4, np.pi / 2, np.random.default_rng(seed).uniform(-4.0, 4.0, 500)]
+    for c in Chirality:
+        for k in (1, 2, 3):
+            for s in times:
+                assert flow(q, k, s, c).tobytes() == _flow_by_exponential(q, k, s, c).tobytes(), (c, k, s)
+
+
+def test_flow_at_points_with_zero_coordinates():
+    # a zero coordinate may differ from the exponential's in its sign only
+    r = np.sqrt(0.5)
+    q = np.array([ONE, I, -J, K, [r, r, 0.0, 0.0], [-0.0, 0.6, 0.0, -0.8], [0.0, -0.0, r, -r]])
+    for c in Chirality:
+        for k in (1, 2, 3):
+            for s in (1e-5, -1e-5, 0.4, np.pi / 2, 0.0):
+                got = flow(q, k, s, c)
+                assert np.array_equal(got, _flow_by_exponential(q, k, s, c)), (c, k, s)
+                assert np.max(np.abs(np.linalg.norm(got, axis=-1) - 1.0)) <= 1e-15
 
 
 def test_directional_derivative_linear_coordinate(pts200):
@@ -171,7 +202,7 @@ def test_hopf_projection(pts200, rng):
     # fiber invariance under q -> q e^{i theta}
     thetas = rng.uniform(0, 2 * np.pi, size=100)
     base = hopf_project(pts200[:100])
-    moved = hopf_project(flow(pts200[:100], 1, thetas, Chirality.LEFT).q)
+    moved = hopf_project(flow(pts200[:100], 1, thetas, Chirality.LEFT))
     assert np.max(np.abs(base - moved)) < 1e-12
     # radius 1/2
     assert np.max(np.abs(np.linalg.norm(base, axis=1) - 0.5)) < 1e-12
@@ -190,11 +221,11 @@ def test_harmonic_quadratics(pts200):
 
 def test_tangent_vec():
     # sum_k c_k e_k at q, in either invariant frame
-    q = UnitQuaternion(random_points(1, seed=8)[0])
+    q = random_points(1, seed=8)[0]
     c = np.array([1.0, -2.0, 0.5])
     for chirality in Chirality:
         amb = sum(c[k - 1] * invariant_vector(q, k, chirality) for k in (1, 2, 3))
-        assert abs(np.dot(amb, q.q)) < 1e-12  # tangent to the sphere
+        assert abs(np.dot(amb, q)) < 1e-12  # tangent to the sphere
         assert abs(np.linalg.norm(amb) - np.linalg.norm(c)) < 1e-12  # frame is orthonormal
 
 
